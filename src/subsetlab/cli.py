@@ -456,6 +456,8 @@ def _cmd_money_forge(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
         copies_per_query=cfg.copies_per_query,
         exact_estimators=cfg.exact,
     )
+    # Echo what runs, not what was configured.
+    report.config.update(epsilon=params.epsilon_st, delta=params.delta_st, m=m)
 
     def forger(handle, env, challenges, trng):
         return attacks.money_forge(handle, env, challenges, params, trng).outputs

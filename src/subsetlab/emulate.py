@@ -13,12 +13,23 @@ Two exact evaluation paths exist for a rewritten circuit:
   is tiny and the cost is independent of the copy count.
 
 Both paths agree to numerical precision; tests pin that.
+
+Emulated verifiers (``EmulatedAcceptProcedure``) evaluate only the
+oracle's light cone in the compressed basis: the qubits linked to an
+oracle block by a chain of shared gates, where the input qubits count as
+linked to each other because the challenge may be entangled across them.
+Every other qubit evolves as a plain state vector.  The state is a
+product across that split, so the result is exact (after Markov and Shi's
+light-cone contraction, arXiv:quant-ph/0511069).  ``emulation_error``
+stays full-width on purpose: it is the engine's cross-check against the
+oracle path, and its printed numbers should not depend on how the circuit
+factorizes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
@@ -302,6 +313,7 @@ def _build_sector(lam: int, ell: int, cutoff: int, chi: np.ndarray) -> _Sector:
 
 
 _MAIN_ACTION_CACHE: dict = {}
+_MISSING = object()
 
 
 def _main_axis_action(
@@ -314,8 +326,11 @@ def _main_axis_action(
     None for genuinely dense matrices.  Cached per (matrix, targets, n).
     """
     key = (matrix.tobytes(), targets, n)
-    if key in _MAIN_ACTION_CACHE:
-        return _MAIN_ACTION_CACHE[key]
+    # One lookup: a clear() from another thread between a membership test
+    # and a read would raise KeyError.  None is a valid cached result.
+    cached = _MAIN_ACTION_CACHE.get(key, _MISSING)
+    if cached is not _MISSING:
+        return cached
     result = None
     dim = matrix.shape[0]
     k = len(targets)
@@ -393,6 +408,17 @@ class EmulationEngine:
         self.env = env
         self.num_main_qubits = num_main_qubits
         self.levels = tuple(sorted(ell_per_lambda))
+        # Checked before any sector is built: a level's sector holds every
+        # occupation of the N-1 excited modes with at most `cutoff`
+        # excitations, C(N-1+cutoff, cutoff) of them (N = 2^(lam+1)).
+        entries = 1 << num_main_qubits
+        for lam in self.levels:
+            cutoff = int(cutoff_per_lambda[lam])
+            entries *= math.comb((1 << (lam + 1)) - 1 + cutoff, cutoff)
+        if entries > POLICY.max_engine_entries:
+            raise CapacityError(
+                f"compressed state of {entries} entries exceeds the configured cap"
+            )
         self.sectors: dict[int, _Sector] = {}
         for lam in self.levels:
             chi = ow.oracle_axis_state(env.spec(lam)).amplitudes
@@ -400,11 +426,6 @@ class EmulationEngine:
                 lam, int(ell_per_lambda[lam]), int(cutoff_per_lambda[lam]), chi
             )
         self.sector_sizes = tuple(self.sectors[lam].size for lam in self.levels)
-        entries = (1 << num_main_qubits) * int(np.prod(self.sector_sizes or (1,)))
-        if entries > POLICY.max_engine_entries:
-            raise CapacityError(
-                f"compressed state of {entries} entries exceeds the configured cap"
-            )
 
     def initial_state(self, input_state: StateVector) -> CompressedState:
         if input_state.num_qubits != self.num_main_qubits:
@@ -627,12 +648,65 @@ def effective_axis_overlap(
 # Emulated accept procedures (for keyed measurement families)
 
 
+def _light_cone(
+    gates: Sequence[ow.Gate], num_qubits: int, input_qubits: Sequence[int]
+) -> tuple[int, ...]:
+    """The qubits that the oracle queries of a unitary/oracle prefix reach.
+
+    A union-find over each gate's targets groups the qubits that interact.
+    All oracle blocks fall in one group, since they share the copy
+    registers, and so do the input qubits, since the challenge may be
+    entangled across them.  Every gate then acts inside the returned cone
+    or outside it, so a product input stays a product across the split.
+    Empty when no gate queries the oracle.
+    """
+    parent = list(range(num_qubits))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def merge(qubits: Sequence[int]) -> None:
+        for q in qubits[1:]:
+            parent[find(q)] = find(qubits[0])
+
+    merge(tuple(input_qubits))
+    anchors: list[int] = []
+    for g in gates:
+        merge(g.targets)
+        if g.kind == "oracle":
+            anchors.append(g.targets[0])
+    if not anchors:
+        return ()
+    merge(anchors)
+    root = find(anchors[0])
+    return tuple(q for q in range(num_qubits) if find(q) == root)
+
+
+def _relabel(gates: Iterable[ow.Gate], qubits: Sequence[int]) -> tuple[ow.Gate, ...]:
+    """The gates acting inside `qubits`, renumbered to positions in it."""
+    pos = {q: i for i, q in enumerate(qubits)}
+    return tuple(
+        replace(g, targets=tuple(pos[t] for t in g.targets))
+        for g in gates
+        if all(t in pos for t in g.targets)
+    )
+
+
 @dataclass
 class EmulatedAcceptProcedure:
     """Accept probability of a deferred verifier with its oracle queries
-    rewritten into reflections over level copies; evaluated exactly in the
-    compressed basis.  ``input_qubits`` is where the challenge goes; all
-    other main qubits start at |0>."""
+    rewritten into reflections over level copies; evaluated exactly.
+    ``input_qubits`` is where the challenge goes; all other main qubits
+    start at |0>.
+
+    Only the oracle's light cone (``_light_cone``) goes through the
+    compressed engine; the other qubits evolve as a plain state vector.
+    The state is a product across that split, so the accept probability
+    is the accept qubit's factor's probability times the squared norm of
+    the other factor.  The split is computed once per procedure."""
 
     circuit: ow.OracleAidedCircuit
     input_qubits: tuple[int, ...]
@@ -643,6 +717,20 @@ class EmulatedAcceptProcedure:
     def __post_init__(self) -> None:
         if not ow.is_deferred(self.circuit):
             raise ValueError("verifier must be in deferred-measurement form")
+        n = self.circuit.num_qubits
+        prefix = ow.unitary_prefix(self.circuit)
+        cone = _light_cone(prefix, n, self.input_qubits)
+        rest = tuple(q for q in range(n) if q not in cone)
+        self._cone_gates = _relabel(prefix, cone)
+        self._rest_gates = _relabel(prefix, rest)
+        self._cone_width = len(cone)
+        self._rest_width = len(rest)
+        self._inputs_in_cone = bool(cone) and set(self.input_qubits) <= set(cone)
+        side = cone if self._inputs_in_cone else rest
+        self._input_positions = tuple(side.index(q) for q in self.input_qubits)
+        self._accept_in_cone = self.accept_qubit in cone
+        side = cone if self._accept_in_cone else rest
+        self._accept_position = side.index(self.accept_qubit)
 
     @property
     def arity(self) -> int:
@@ -654,19 +742,29 @@ class EmulatedAcceptProcedure:
     def accept_probability(self, challenge: StateVector) -> float:
         if challenge.num_qubits != self.arity:
             raise ValueError("challenge does not match the verifier input arity")
-        main = qcore.embed_state(challenge, self.circuit.num_qubits, self.input_qubits)
+        cone_in = qcore.zero_state(self._cone_width)
+        plain = qcore.zero_state(self._rest_width)
+        if self._inputs_in_cone:
+            cone_in = qcore.embed_state(
+                challenge, self._cone_width, self._input_positions
+            )
+        else:
+            plain = qcore.embed_state(
+                challenge, self._rest_width, self._input_positions
+            )
+        for g in self._rest_gates:
+            plain = qcore.apply_unitary(plain, g.matrix, g.targets)
+        if not self._cone_width:
+            return float(qcore.born_probabilities(plain, [self._accept_position])[1])
         counts = dict(self.circuit.declared_query_count)
-        prefix = ow.unitary_prefix(self.circuit)
-        if not counts:
-            plain = main
-            for g in prefix:
-                plain = qcore.apply_unitary(plain, g.matrix, g.targets)
-            probs = qcore.born_probabilities(plain, [self.accept_qubit])
-            return float(probs[1])
         ells = {lam: self.ell_per_lambda[lam] for lam in counts}
-        engine = _cached_engine(self.env, self.circuit.num_qubits, ells, counts)
-        out = engine.run(prefix, main)
-        return out.accept_probability(self.accept_qubit)
+        engine = _cached_engine(self.env, self._cone_width, ells, counts)
+        out = engine.run(self._cone_gates, cone_in)
+        if self._accept_in_cone:
+            plain_norm = float(np.linalg.norm(plain.amplitudes))
+            return out.accept_probability(self._accept_position) * plain_norm**2
+        p = float(qcore.born_probabilities(plain, [self._accept_position])[1])
+        return p * out.norm() ** 2
 
 
 _ENGINE_CACHE: dict = {}

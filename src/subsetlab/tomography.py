@@ -149,18 +149,21 @@ class PovmFamily:
     builder: Callable[[Hashable], AcceptProcedure]
     resource_arity: int
     _cache: dict[Hashable, AcceptProcedure] = field(default_factory=dict, repr=False)
+    _key_set: frozenset = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = tuple(self.keys)
         if not keys:
             raise ValueError("key set must be non-empty")
-        if len(set(keys)) != len(keys):
+        key_set = frozenset(keys)
+        if len(key_set) != len(keys):
             raise ValueError("duplicate keys in family")
         object.__setattr__(self, "keys", tuple(sorted(keys)))
+        object.__setattr__(self, "_key_set", key_set)
 
     def element(self, key: Hashable) -> AcceptProcedure:
         if key not in self._cache:
-            if key not in set(self.keys):
+            if key not in self._key_set:
                 raise KeyError(f"unknown key {key!r}")
             proc = self.builder(key)
             if proc.arity != self.resource_arity:

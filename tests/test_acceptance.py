@@ -221,6 +221,10 @@ def test_criterion_09_owsg_inversion():
         )
         rate_exact = sum(r.success for r in exact) / trials
         assert rate_exact >= 0.9, (cand.name, rate_exact)
+        if cand.name.startswith("oracle-echo"):
+            # The swap test accepts every wrong key with probability 1/2,
+            # so the 1/3 threshold alone cannot fail for this candidate.
+            assert all(r.key_found == r.key_star for r in exact), cand.name
         sampled = attacks.owsg_inversion_game(
             cand,
             attacks.OwsgAttackParams(exact_search=False, copies_per_query=128),

@@ -97,6 +97,30 @@ def test_capacity_error_exits_3(tmp_path):
     assert code == 3
 
 
+def test_oversized_engine_exits_3(tmp_path):
+    # lam=8, q=2 needs 2^10 * 131,328 engine entries, twice the cap; the
+    # capacity check comes before any sector is built.
+    config = tmp_path / "cfg.txt"
+    config.write_text("seed=3\nlam=8\nq=2\nell=31\n")
+    code = cli.main(
+        ["emulate-bound", "--config", str(config), "--out", str(tmp_path)]
+    )
+    assert code == 3
+
+
+def test_money_forge_echoes_the_config_it_ran(tmp_path):
+    # Under the default config (epsilon = delta = 0.5) shadow tomography
+    # runs at 0.1 and 0.05; the report must show the values used.
+    config = tmp_path / "cfg.txt"
+    config.write_text("seed=1\nscheme=wiesner\ntrials=1\n")
+    code = cli.main(["money-forge", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 0
+    echo = json.loads((tmp_path / "money-forge-report.json").read_text())["config"]
+    assert echo["epsilon"] == 0.1
+    assert echo["delta"] == 0.05
+    assert echo["m"] == 2
+
+
 def test_config_file_with_seed_override(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("seed=1\nlam=4\n")

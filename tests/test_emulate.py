@@ -318,3 +318,81 @@ def test_emulated_accept_procedure_close_to_real(env2):
             )
             emulated = proc.accept_probability(challenge)
             assert abs(emulated - real) <= 4 / math.sqrt(ell + 1) + 1e-9
+
+
+def test_engine_capacity_checked_before_sectors(monkeypatch):
+    # lam=8, q=2: K = C(513, 2) = 131,328 per level, so 2^10 * K entries
+    # exceed the cap; the check must come before any sector is built.
+    def fail(*args, **kwargs):
+        raise AssertionError("sector built before the capacity check")
+
+    monkeypatch.setattr(emulate, "_build_sector", fail)
+    env = OracleEnv([ow.sample_subset(8, Rng(0))])
+    with pytest.raises(CapacityError):
+        EmulationEngine(env, 10, {8: 31}, {8: 2})
+
+
+# ---------------------------------------------------------------------------
+# Light-cone evaluation of emulated verifiers
+
+
+def test_light_cone_of_echo_verifier_is_its_echo_block():
+    from subsetlab.schemes import oracle_echo_owsg
+
+    v = oracle_echo_owsg(4, 2).verify("0110")
+    prefix = ow.unitary_prefix(v.circuit)
+    cone = emulate._light_cone(prefix, v.circuit.num_qubits, v.input_qubits)
+    assert cone == (4, 5, 6)
+
+
+def split_circuit(q, seed):
+    """A random lam=2 circuit on wires 0-3, a random gate on the off-cone
+    pair (4, 5), and wire 6 that no gate touches."""
+    from scipy.stats import unitary_group
+
+    rng = Rng(seed)
+    base = emulate.random_oracle_circuit(2, q, rng)
+    mat = unitary_group.rvs(4, random_state=rng.generator)
+    return OracleAidedCircuit(7, base.gates + (Gate.unitary(mat, [4, 5]),))
+
+
+@pytest.mark.parametrize(
+    "inputs", [(4,), (0,)], ids=["input-off-cone", "input-in-cone"]
+)
+def test_light_cone_matches_full_width_engine(env2, inputs):
+    for q, seed in ((1, 30), (2, 31), (2, 32)):
+        circ = split_circuit(q, seed)
+        prefix = ow.unitary_prefix(circ)
+        cone = emulate._light_cone(prefix, 7, inputs)
+        assert {0, 1, 2} <= set(cone) and not {4, 5, 6} & set(cone)
+        challenge = random_state(1, seed)
+        main = qcore.embed_state(challenge, 7, inputs)
+        for ell in (2, 15):
+            full = EmulationEngine(env2, 7, {2: ell}, {2: q}).run(prefix, main)
+            for acc in range(7):
+                proc = emulate.EmulatedAcceptProcedure(
+                    circ, inputs, acc, env2, {2: ell}
+                )
+                assert abs(
+                    proc.accept_probability(challenge) - full.accept_probability(acc)
+                ) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "inputs", [(4,), (0,)], ids=["input-off-cone", "input-in-cone"]
+)
+def test_light_cone_matches_explicit_path(env2, inputs):
+    for q, seed in ((1, 30), (2, 31)):
+        circ = split_circuit(q, seed)
+        challenge = random_state(1, seed)
+        main = qcore.embed_state(challenge, 7, inputs)
+        for ell in (2, 3):
+            plan = build_emulation(circ, ell)
+            explicit = run_emulated_explicit(plan, env2, main, Rng(0)).output
+            for acc in range(7):
+                proc = emulate.EmulatedAcceptProcedure(
+                    circ, inputs, acc, env2, {2: ell}
+                )
+                p_explicit = float(qcore.born_probabilities(explicit, [acc])[1])
+                assert abs(proc.accept_probability(challenge) - p_explicit) < 1e-9
+
