@@ -123,6 +123,24 @@ class OwsgAttackResult:
     emulation_slack_bound: float
 
 
+def _accept_procedure(
+    circuit: ow.OracleAidedCircuit,
+    input_qubits: tuple[int, ...],
+    accept_qubit: int,
+    env: ow.OracleEnv,
+    ell: int,
+) -> tomography.AcceptProcedure:
+    """The attacker's view of a verifier: oracle queries rewritten into
+    reflections over `ell` copies per level when the circuit makes any,
+    otherwise the plain circuit."""
+    if circuit.declared_query_count:
+        ells = {lam: ell for lam in circuit.declared_query_count}
+        return emulate.EmulatedAcceptProcedure(
+            circuit, input_qubits, accept_qubit, env, ells
+        )
+    return tomography.CircuitAcceptProcedure(circuit, input_qubits, accept_qubit, env)
+
+
 def _verifier_family(
     candidate: OwsgCandidate,
     env: ow.OracleEnv,
@@ -130,14 +148,7 @@ def _verifier_family(
 ) -> tomography.PovmFamily:
     def build(key: str) -> tomography.AcceptProcedure:
         v = candidate.verify(key)
-        if v.circuit.declared_query_count:
-            ells = {lam: ell for lam in v.circuit.declared_query_count}
-            return emulate.EmulatedAcceptProcedure(
-                v.circuit, v.input_qubits, v.accept_qubit, env, ells
-            )
-        return tomography.CircuitAcceptProcedure(
-            v.circuit, v.input_qubits, v.accept_qubit, env
-        )
+        return _accept_procedure(v.circuit, v.input_qubits, v.accept_qubit, env, ell)
 
     arity = len(candidate.verify(candidate.keys[0]).input_qubits)
     return tomography.PovmFamily(candidate.keys, build, arity)
@@ -257,19 +268,24 @@ class MoneyForgeResult:
     formulas: dict[str, str]
 
 
-def _exact_value_cache(scheme) -> dict:
+def _exact_value_cache(scheme, token) -> dict:
     """Memo for exact accept probabilities, living on the scheme object.
 
-    Keys carry the oracle instance (the subset members) and the copy
+    It holds the entries of one oracle instance, ``token`` (see
+    ``_env_token``), and starts empty when the instance changes, so it
+    stays bounded across trials.  Keys also carry the token and the copy
     count, so entries are only reused when they are genuinely the same
-    exact quantity; for oracle-free schemes they persist across trials.
+    exact quantity.  An oracle-free scheme has one token, so its entries
+    persist across trials.
     """
     owner = scheme.scheme if isinstance(scheme, SchemeHandle) else scheme
-    cache = getattr(owner, "_forge_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(owner, "_forge_cache", cache)
-    return cache
+    # One (token, entries) pair, swapped by a single assignment, so each
+    # caller gets the entries of its own token.
+    held = getattr(owner, "_forge_cache", None)
+    if held is None or held[0] != token:
+        held = (token, {})
+        owner._forge_cache = held
+    return held[1]
 
 
 def _env_token(scheme, env: ow.OracleEnv):
@@ -337,23 +353,15 @@ def money_forge(
             rng,
         )
 
-    cache = _exact_value_cache(scheme)
     token = _env_token(scheme, env)
+    cache = _exact_value_cache(scheme, token)
 
     def verifier_element(key: str) -> tomography.AcceptProcedure:
         def accept(state: StateVector) -> float:
             ck = ("v", key, token, ell, state.amplitudes.tobytes())
             if ck not in cache:
                 v = scheme.verify(key)
-                if v.circuit.declared_query_count:
-                    ells = {lam: ell for lam in v.circuit.declared_query_count}
-                    proc = emulate.EmulatedAcceptProcedure(
-                        v.circuit, v.input_qubits, v.accept_qubit, env, ells
-                    )
-                else:
-                    proc = tomography.CircuitAcceptProcedure(
-                        v.circuit, v.input_qubits, v.accept_qubit, env
-                    )
+                proc = _accept_procedure(v.circuit, v.input_qubits, v.accept_qubit, env, ell)
                 cache[ck] = proc.accept_probability(state)
             return cache[ck]
 
@@ -364,11 +372,7 @@ def money_forge(
             ck = ("vm", pair, token, ell)
             if ck not in cache:
                 circuit, acc = _compose_mint_verify(scheme, pair[0], pair[1])
-                if circuit.declared_query_count:
-                    ells = {lam: ell for lam in circuit.declared_query_count}
-                    proc = emulate.EmulatedAcceptProcedure(circuit, (), acc, env, ells)
-                else:
-                    proc = tomography.CircuitAcceptProcedure(circuit, (), acc, env)
+                proc = _accept_procedure(circuit, (), acc, env, ell)
                 cache[ck] = proc.accept_probability(state)
             return cache[ck]
 

@@ -125,6 +125,8 @@ class ExperimentConfig:
             raise ValueError("lam must be even and in [2, 12]")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.m < 1:
+            raise ValueError("m must be positive")
         if self.mode not in ("exact", "sampled"):
             raise ValueError("mode must be exact or sampled")
         if not 0.0 < self.eta < 0.1:
@@ -438,17 +440,16 @@ def _cmd_owsg_attack(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
     report.verdict("inversion-rate", rate >= target, f"{rate} >= {target}")
 
 
-def _pick_scheme(name: str) -> tuple[schemes.MoneyScheme, int]:
+def _pick_scheme(name: str) -> schemes.MoneyScheme:
     if name == "wiesner":
-        return schemes.wiesner_money(3), 2
+        return schemes.wiesner_money(3)
     if name == "subset-pair":
-        return schemes.subset_pair_money(2, 2), 1
+        return schemes.subset_pair_money(2, 2)
     raise ValueError(f"unknown scheme {name!r} (wiesner | subset-pair)")
 
 
 def _cmd_money_forge(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
-    scheme, default_m = _pick_scheme(cfg.scheme)
-    m = cfg.m if cfg.m else default_m
+    scheme = _pick_scheme(cfg.scheme)
     params = attacks.MoneyForgeParams(
         eta=cfg.eta,
         epsilon_st=cfg.epsilon if cfg.epsilon < 0.5 else 0.1,
@@ -457,12 +458,12 @@ def _cmd_money_forge(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
         exact_estimators=cfg.exact,
     )
     # Echo what runs, not what was configured.
-    report.config.update(epsilon=params.epsilon_st, delta=params.delta_st, m=m)
+    report.config.update(epsilon=params.epsilon_st, delta=params.delta_st)
 
     def forger(handle, env, challenges, trng):
         return attacks.money_forge(handle, env, challenges, params, trng).outputs
 
-    result = attacks.forgery_game(scheme, forger, m, cfg.trials, rng)
+    result = attacks.forgery_game(scheme, forger, cfg.m, cfg.trials, rng)
     report.notes.extend([SAMPLE_NOTE, ETA_NOTE])
     report.trials = [
         {

@@ -66,21 +66,6 @@ MIN_GUARANTEED_ELL = 4
 # Projection via one controlled reflection
 
 
-def _reflect_about_axis(
-    state: StateVector, axis: np.ndarray, targets: Sequence[int]
-) -> StateVector:
-    """psi - 2 <axis|psi> |axis> on the target block (rank-1 update)."""
-    n = state.num_qubits
-    k = len(targets)
-    tens = state.amplitudes.reshape((2,) * n)
-    moved = np.moveaxis(tens, targets, range(n - k, n))
-    block = np.ascontiguousarray(moved).reshape(-1, 1 << k)
-    coeff = block @ axis.conj()
-    block = block - 2.0 * np.outer(coeff, axis)
-    out = np.moveaxis(block.reshape(moved.shape), range(n - k, n), targets)
-    return StateVector(n, out.reshape(-1))
-
-
 def project_via_reflection(
     input_state: StateVector, target: StateVector, rng: Rng
 ) -> tuple[bool, StateVector | None]:
@@ -97,7 +82,7 @@ def project_via_reflection(
     plus = qcore.state_from_amplitudes([1 / math.sqrt(2), 1 / math.sqrt(2)])
     joint = qcore.tensor(plus, input_state)
     axis = np.kron(np.array([0.0, 1.0]), target.amplitudes)  # |1>|target>
-    joint = _reflect_about_axis(joint, axis, list(range(n + 1)))
+    joint = qcore.reflect_about_axis(joint, axis, list(range(n + 1)))
     joint = qcore.apply_unitary(joint, ow.named_gate_matrix("H", 1), [0])
     bits, collapsed, _ = qcore.measure_computational(joint, [0], rng)
     if bits[0] != 1:
@@ -564,14 +549,7 @@ def emulation_error(
     if input_state is None:
         input_state = qcore.zero_state(circuit.num_qubits)
     # Oracle path (queries not charged to the env: this is analysis).
-    plain = input_state
-    for g in prefix:
-        if g.kind == "unitary":
-            plain = qcore.apply_unitary(plain, g.matrix, g.targets)
-        elif g.kind == "oracle":
-            plain = ow.apply_oracle(plain, env, g.lam, g.targets, count=False)
-        else:
-            raise ValueError("emulation_error needs a unitary/oracle-only prefix")
+    plain = ow.evolve(input_state, prefix, env, count=False)
     # Rewritten path.
     if counts:
         engine = _cached_engine(env, circuit.num_qubits, plan.ell_per_lambda, counts)
@@ -621,12 +599,11 @@ def pre_query_state(
     """The state right before the circuit's first oracle gate."""
     if input_state is None:
         input_state = qcore.zero_state(circuit.num_qubits)
-    state = input_state
-    for g in ow.unitary_prefix(circuit):
-        if g.kind == "oracle":
-            return state
-        state = qcore.apply_unitary(state, g.matrix, g.targets)
-    raise ValueError("circuit has no oracle gate")
+    prefix = ow.unitary_prefix(circuit)
+    first = next((i for i, g in enumerate(prefix) if g.kind == "oracle"), None)
+    if first is None:
+        raise ValueError("circuit has no oracle gate")
+    return ow.evolve(input_state, prefix[:first], env, count=False)
 
 
 def effective_axis_overlap(
@@ -635,13 +612,7 @@ def effective_axis_overlap(
     """Weight of the axis component on the target block:
     || (<axis| (x) I_rest) |state> ||^2.  For a product state this is the
     plain squared overlap of the block with the axis."""
-    n = state.num_qubits
-    k = len(targets)
-    tens = state.amplitudes.reshape((2,) * n)
-    moved = np.moveaxis(tens, targets, range(n - k, n))
-    block = np.ascontiguousarray(moved).reshape(-1, 1 << k)
-    coeff = block @ axis.amplitudes.conj()
-    return float(np.sum(np.abs(coeff) ** 2))
+    return qcore.axis_weight(state, axis.amplitudes, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +723,7 @@ class EmulatedAcceptProcedure:
             plain = qcore.embed_state(
                 challenge, self._rest_width, self._input_positions
             )
-        for g in self._rest_gates:
-            plain = qcore.apply_unitary(plain, g.matrix, g.targets)
+        plain = ow.evolve(plain, self._rest_gates, self.env, count=False)
         if not self._cone_width:
             return float(qcore.born_probabilities(plain, [self._accept_position])[1])
         counts = dict(self.circuit.declared_query_count)

@@ -45,6 +45,7 @@ __all__ = [
     "oracle_axis_state",
     "apply_oracle",
     "oracle_matrix",
+    "evolve",
     "run_circuit",
     "defer_measurements",
     "is_deferred",
@@ -174,9 +175,9 @@ def apply_oracle(
 ) -> StateVector:
     """Apply the level-lam subset oracle on lam+1 target qubits.
 
-    Implemented as the direct rank-1 update psi - 2 c |1,S-> per branch of
-    the non-target qubits; cost O(2^num_qubits).  Increments the query
-    counter unless ``count=False``.
+    The rank-1 reflection about |1,S-> (``qcore.reflect_about_axis``);
+    cost O(2^num_qubits).  Increments the query counter unless
+    ``count=False``.
     """
     spec = env.spec(lam)
     targets = tuple(int(t) for t in targets)
@@ -184,17 +185,10 @@ def apply_oracle(
         raise ValueError(f"oracle at lambda={lam} needs {lam + 1} targets, got {len(targets)}")
     qcore._validate_targets(state.num_qubits, targets)
     axis = oracle_axis_state(spec).amplitudes
-    n = state.num_qubits
-    tens = state.amplitudes.reshape((2,) * n)
-    moved = np.moveaxis(tens, targets, range(n - lam - 1, n))
-    rest_dim = 1 << (n - lam - 1)
-    block = np.ascontiguousarray(moved).reshape(rest_dim, 1 << (lam + 1))
-    coeff = block @ axis.conj()
-    block = block - 2.0 * np.outer(coeff, axis)
-    out = np.moveaxis(block.reshape(moved.shape), range(n - lam - 1, n), targets)
+    out = qcore.reflect_about_axis(state, axis, targets)
     if count:
         env.record_query(lam)
-    return StateVector(n, out.reshape(-1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +401,40 @@ def unitary_prefix(circuit: OracleAidedCircuit) -> tuple[Gate, ...]:
     return tuple(g for g in circuit.gates if g.kind in ("unitary", "oracle", "symreflect"))
 
 
+def _apply_gate(
+    state: StateVector, g: Gate, env: OracleEnv | None, count: bool
+) -> StateVector:
+    """One unitary, oracle or symreflect gate, applied unconditionally."""
+    if g.kind == "unitary":
+        return qcore.apply_unitary(state, g.matrix, g.targets)
+    if g.kind == "oracle":
+        if env is None:
+            raise ValueError("oracle gate requires an oracle environment")
+        return apply_oracle(state, env, g.lam, g.targets, count=count)
+    if g.kind == "symreflect":
+        amps = symsub.reflect_blocks(state.amplitudes, state.num_qubits, g.blocks)
+        return StateVector(state.num_qubits, amps)
+    raise ValueError(f"unsupported gate kind {g.kind!r}")
+
+
+def evolve(
+    state: StateVector,
+    gates: Iterable[Gate],
+    env: OracleEnv | None,
+    *,
+    count: bool,
+) -> StateVector:
+    """Apply unconditioned unitary, oracle and symreflect gates in order.
+
+    The one way to evolve a circuit prefix (such as ``unitary_prefix``) on
+    a pure state.  Oracle gates need ``env`` and bump its query counters
+    when ``count`` is true; exact analyses pass ``count=False``.
+    """
+    for g in gates:
+        state = _apply_gate(state, g, env, count)
+    return state
+
+
 def run_circuit(
     circuit: OracleAidedCircuit,
     env: OracleEnv | None,
@@ -425,32 +453,23 @@ def run_circuit(
     state = input_state
     record: dict[str, tuple[int, ...]] = {}
     discards: list[int] = []
-    for pos, g in enumerate(circuit.gates):
+    for g in circuit.gates:
         if g.kind == "discard":
             discards.extend(g.targets)
             continue
         if discards:
             raise ValueError("discard gates must form a trailing suffix")
-        if g.kind == "unitary":
-            if g.condition is not None:
-                tag, want = g.condition
-                if tag not in record:
-                    raise ValueError(f"condition tag {tag!r} not yet measured")
-                if qcore.bits_to_index(record[tag]) != want:
-                    continue
-            state = qcore.apply_unitary(state, g.matrix, g.targets)
-        elif g.kind == "oracle":
-            if env is None:
-                raise ValueError("oracle gate requires an oracle environment")
-            state = apply_oracle(state, env, g.lam, g.targets)
-        elif g.kind == "symreflect":
-            amps = symsub.reflect_blocks(state.amplitudes, state.num_qubits, g.blocks)
-            state = StateVector(state.num_qubits, amps)
-        elif g.kind == "measure":
+        if g.kind == "measure":
             bits, state, _ = qcore.measure_computational(state, g.targets, rng)
             record[g.tag] = bits
-        else:
-            raise ValueError(f"unknown gate kind {g.kind!r}")
+            continue
+        if g.condition is not None:
+            tag, want = g.condition
+            if tag not in record:
+                raise ValueError(f"condition tag {tag!r} not yet measured")
+            if qcore.bits_to_index(record[tag]) != want:
+                continue
+        state = _apply_gate(state, g, env, True)
     if discards:
         keep = [q for q in range(circuit.num_qubits) if q not in set(discards)]
         rho = qcore.partial_trace(qcore.promote(state), keep)

@@ -32,7 +32,8 @@ __all__ = [
     "zero_state",
     "state_from_amplitudes",
     "apply_unitary",
-    "apply_unitary_dm",
+    "reflect_about_axis",
+    "axis_weight",
     "born_probabilities",
     "measure_computational",
     "tensor",
@@ -51,10 +52,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NumericalPolicy:
-    """Single global record of tolerances and capacity bounds.
+    """Single global record of the state invariants' tolerances and the
+    capacity bounds.
 
-    Every tolerance used anywhere in the package lives here; tests and
-    experiments read the same values, so there is exactly one knob.
+    The validity checks on states, probability tables and reductions read
+    these values.  Verdict thresholds in experiments and tests are stated
+    where they are used.
     """
 
     norm_atol: float = 1e-10
@@ -62,8 +65,6 @@ class NumericalPolicy:
     trace_atol: float = 1e-9
     eig_floor: float = -1e-8
     prob_atol: float = 1e-9
-    involution_atol: float = 1e-9
-    matrix_match_atol: float = 1e-9
     pure_metric_atol: float = 1e-8
     closed_form_atol: float = 1e-12
     max_state_qubits: int = 22
@@ -255,18 +256,6 @@ def _validate_targets(num_qubits: int, targets: Sequence[int]) -> tuple[int, ...
     return targets
 
 
-def _apply_matrix_to_tensor(
-    tensor_amps: np.ndarray, matrix: np.ndarray, targets: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Apply ``matrix`` on the given qubit axes of a (2,)*n amplitude tensor."""
-    k = len(targets)
-    matrix = matrix.reshape((2,) * (2 * k))
-    # Contract matrix input legs with the target axes, then restore order.
-    moved = np.tensordot(matrix, tensor_amps, axes=(range(k, 2 * k), targets))
-    # tensordot puts the k output legs first; move them back to `targets`.
-    return np.moveaxis(moved, range(k), targets)
-
-
 def apply_unitary(
     state: StateVector, unitary: np.ndarray, targets: Sequence[int]
 ) -> StateVector:
@@ -283,31 +272,56 @@ def apply_unitary(
             f"operator shape {unitary.shape} does not match {k} target qubits"
         )
     tensor_amps = state.amplitudes.reshape((2,) * state.num_qubits)
-    out = _apply_matrix_to_tensor(tensor_amps, unitary, targets, state.num_qubits)
-    out = out.reshape(-1)
+    # Contract the matrix's input legs with the target axes; tensordot puts
+    # the k output legs first, so move them back to `targets`.
+    moved = np.tensordot(
+        unitary.reshape((2,) * (2 * k)), tensor_amps, axes=(range(k, 2 * k), targets)
+    )
+    out = np.moveaxis(moved, range(k), targets).reshape(-1)
     norm = float(np.linalg.norm(out))
     if abs(norm - 1.0) > POLICY.norm_atol:
         raise ValueError(f"operator is not unitary on its targets (norm {norm})")
     return StateVector(state.num_qubits, out)
 
 
-def apply_unitary_dm(
-    rho: DensityMatrix, unitary: np.ndarray, targets: Sequence[int]
-) -> DensityMatrix:
-    """Conjugate a density matrix by a unitary acting on the target qubits."""
-    targets = _validate_targets(rho.num_qubits, targets)
-    unitary = np.asarray(unitary, dtype=np.complex128)
+def _axis_coefficients(
+    state: StateVector, axis: np.ndarray, targets: Sequence[int]
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Move the target block last and take <axis| on it.
+
+    Returns the moved tensor shape, the (branches x 2^k) block matrix and
+    one coefficient <axis|block> per branch of the other qubits.
+    """
+    n = state.num_qubits
     k = len(targets)
-    if unitary.shape != (1 << k, 1 << k):
-        raise ValueError(
-            f"operator shape {unitary.shape} does not match {k} target qubits"
-        )
-    n = rho.num_qubits
-    tens = rho.entries.reshape((2,) * (2 * n))
-    tens = _apply_matrix_to_tensor(tens, unitary, targets, 2 * n)
-    col_targets = [n + t for t in targets]
-    tens = _apply_matrix_to_tensor(tens, unitary.conj(), col_targets, 2 * n)
-    return DensityMatrix(n, tens.reshape(rho.dim, rho.dim))
+    tens = state.amplitudes.reshape((2,) * n)
+    moved = np.moveaxis(tens, targets, range(n - k, n))
+    block = np.ascontiguousarray(moved).reshape(-1, 1 << k)
+    return moved.shape, block, block @ axis.conj()
+
+
+def reflect_about_axis(
+    state: StateVector, axis: np.ndarray, targets: Sequence[int]
+) -> StateVector:
+    """Apply I - 2|axis><axis| on the target block, identity elsewhere.
+
+    The rank-1 update psi - 2 <axis|psi> |axis> per branch of the other
+    qubits; cost O(2^num_qubits).  ``axis`` is a unit vector of length
+    2^len(targets).
+    """
+    n = state.num_qubits
+    k = len(targets)
+    shape, block, coeff = _axis_coefficients(state, axis, targets)
+    block = block - 2.0 * np.outer(coeff, axis)
+    out = np.moveaxis(block.reshape(shape), range(n - k, n), targets)
+    return StateVector(n, out.reshape(-1))
+
+
+def axis_weight(state: StateVector, axis: np.ndarray, targets: Sequence[int]) -> float:
+    """|| (<axis| (x) I_rest) |state> ||^2, the weight of the axis component
+    on the target block."""
+    _, _, coeff = _axis_coefficients(state, axis, targets)
+    return float(np.sum(np.abs(coeff) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -23,23 +23,25 @@ Forgery targets (private-key money schemes):
                            preparation here is deterministic (one query,
                            one controlled reflection about 0^lam, no
                            postselection).
-Candidates whose circuits use only named gates can be saved to and loaded
-from a directory of circuit text files plus a JSON manifest; see
-:func:`save_owsg_candidate` / :func:`load_owsg_candidate` and the money
-variants.
+
+Both kinds share one way to run their circuits: a preparation runs from
+|0...0> through ``oracleworld.evolve``, and a verifier's exact accept
+probability comes from ``tomography.CircuitAcceptProcedure``.  Schemes
+whose circuits use only named gates are saved to and loaded from a
+directory of circuit text files plus one JSON manifest whose ``kind``
+says which of the two it holds; see :func:`save_scheme` /
+:func:`load_scheme`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import oracleworld as ow
-from . import qcore
+from . import qcore, tomography
 from .qcore import Rng, StateVector
 from .oracleworld import Gate, OracleAidedCircuit, OracleEnv
 
@@ -57,10 +59,8 @@ __all__ = [
     "all_bitstrings",
     "swap_test_gates",
     "s_minus_prep_gates",
-    "save_owsg_candidate",
-    "load_owsg_candidate",
-    "save_money_scheme",
-    "load_money_scheme",
+    "save_scheme",
+    "load_scheme",
 ]
 
 
@@ -75,6 +75,12 @@ class PreparedCircuit:
     circuit: OracleAidedCircuit
     output_qubits: tuple[int, ...]
 
+    def state(self, env: OracleEnv | None, *, count: bool) -> StateVector:
+        """Run the circuit from |0...0> and return the output qubits' state."""
+        start = qcore.zero_state(self.circuit.num_qubits)
+        full = ow.evolve(start, ow.unitary_prefix(self.circuit), env, count=count)
+        return qcore.extract_pure(full, self.output_qubits)
+
 
 @dataclass(frozen=True)
 class VerifierCircuit:
@@ -83,6 +89,13 @@ class VerifierCircuit:
     circuit: OracleAidedCircuit
     input_qubits: tuple[int, ...]
     accept_qubit: int
+
+    def accept_probability(self, state: StateVector, env: OracleEnv | None) -> float:
+        """Exact accept probability on `state` (oracle queries uncharged)."""
+        proc = tomography.CircuitAcceptProcedure(
+            self.circuit, self.input_qubits, self.accept_qubit, env
+        )
+        return proc.accept_probability(state)
 
 
 def swap_test_gates(
@@ -138,21 +151,10 @@ class OwsgCandidate:
     correctness_slack: float = 0.0
 
     def generate_state(self, key: str, env: OracleEnv | None, count: bool = True) -> StateVector:
-        prep = self.gen(key)
-        state = qcore.zero_state(prep.circuit.num_qubits)
-        for g in ow.unitary_prefix(prep.circuit):
-            if g.kind == "unitary":
-                state = qcore.apply_unitary(state, g.matrix, g.targets)
-            elif g.kind == "oracle":
-                state = ow.apply_oracle(state, env, g.lam, g.targets, count=count)
-        return qcore.extract_pure(state, prep.output_qubits)
+        return self.gen(key).state(env, count=count)
 
     def exact_verify_prob(self, key: str, state: StateVector, env: OracleEnv | None) -> float:
-        from .tomography import CircuitAcceptProcedure
-
-        v = self.verify(key)
-        proc = CircuitAcceptProcedure(v.circuit, v.input_qubits, v.accept_qubit, env)
-        return proc.accept_probability(state)
+        return self.verify(key).accept_probability(state, env)
 
     def check_correctness(self, env: OracleEnv | None) -> float:
         """Exact min over keys of Pr[verify(k, gen(k)) accepts]; must clear
@@ -310,21 +312,10 @@ class MoneyScheme:
         return self.keys[rng.integers(0, len(self.keys))]
 
     def mint_state(self, key: str, env: OracleEnv | None, count: bool = True) -> StateVector:
-        prep = self.mint(key)
-        state = qcore.zero_state(prep.circuit.num_qubits)
-        for g in ow.unitary_prefix(prep.circuit):
-            if g.kind == "unitary":
-                state = qcore.apply_unitary(state, g.matrix, g.targets)
-            elif g.kind == "oracle":
-                state = ow.apply_oracle(state, env, g.lam, g.targets, count=count)
-        return qcore.extract_pure(state, prep.output_qubits)
+        return self.mint(key).state(env, count=count)
 
     def exact_verify_prob(self, key: str, state: StateVector, env: OracleEnv | None) -> float:
-        from .tomography import CircuitAcceptProcedure
-
-        v = self.verify(key)
-        proc = CircuitAcceptProcedure(v.circuit, v.input_qubits, v.accept_qubit, env)
-        return proc.accept_probability(state)
+        return self.verify(key).accept_probability(state, env)
 
     def check_correctness(self, env: OracleEnv | None) -> float:
         """Exact average over keys of Pr[verify(k, mint(k))]; must clear mu."""
@@ -355,126 +346,6 @@ def wiesner_money(n: int) -> MoneyScheme:
         mint_query_bound=0,
         verify_query_bound=0,
         query_levels=(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Disk format: one circuit text file per (role, key) plus a JSON manifest
-
-
-def _write_circuits(path: str, role: str, keys, builder) -> dict:
-    files = {}
-    for k in keys:
-        name = f"{role}-{k}.circ"
-        with open(os.path.join(path, name), "w") as fh:
-            fh.write(ow.format_circuit(builder(k)))
-        files[k] = name
-    return files
-
-
-def save_owsg_candidate(candidate: OwsgCandidate, path: str) -> None:
-    """Write the candidate as circuit text files plus ``candidate.json``.
-
-    Only candidates built from named gates serialize.
-    """
-    os.makedirs(path, exist_ok=True)
-    gen_meta = candidate.gen(candidate.keys[0])
-    ver_meta = candidate.verify(candidate.keys[0])
-    manifest = {
-        "kind": "owsg",
-        "name": candidate.name,
-        "kappa": candidate.kappa,
-        "keys": list(candidate.keys),
-        "query_bound": candidate.query_bound,
-        "query_levels": list(candidate.query_levels),
-        "correctness_slack": candidate.correctness_slack,
-        "gen_output": list(gen_meta.output_qubits),
-        "verify_input": list(ver_meta.input_qubits),
-        "verify_accept": ver_meta.accept_qubit,
-        "gen": _write_circuits(path, "gen", candidate.keys, lambda k: candidate.gen(k).circuit),
-        "verify": _write_circuits(
-            path, "verify", candidate.keys, lambda k: candidate.verify(k).circuit
-        ),
-    }
-    with open(os.path.join(path, "candidate.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def load_owsg_candidate(path: str) -> OwsgCandidate:
-    with open(os.path.join(path, "candidate.json")) as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != "owsg":
-        raise ValueError("manifest does not describe a keyed state generator")
-
-    def circuit_for(table: dict[str, str], key: str) -> OracleAidedCircuit:
-        with open(os.path.join(path, table[key])) as fh:
-            return ow.parse_circuit(fh.read())
-
-    gen_out = tuple(manifest["gen_output"])
-    ver_in = tuple(manifest["verify_input"])
-    accept = manifest["verify_accept"]
-    return OwsgCandidate(
-        name=manifest["name"],
-        kappa=manifest["kappa"],
-        keys=tuple(manifest["keys"]),
-        gen=lambda k: PreparedCircuit(circuit_for(manifest["gen"], k), gen_out),
-        verify=lambda k: VerifierCircuit(circuit_for(manifest["verify"], k), ver_in, accept),
-        query_bound=manifest["query_bound"],
-        query_levels=tuple(manifest["query_levels"]),
-        correctness_slack=manifest["correctness_slack"],
-    )
-
-
-def save_money_scheme(scheme: MoneyScheme, path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-    mint_meta = scheme.mint(scheme.keys[0])
-    ver_meta = scheme.verify(scheme.keys[0])
-    manifest = {
-        "kind": "money",
-        "name": scheme.name,
-        "kappa": scheme.kappa,
-        "keys": list(scheme.keys),
-        "mu": scheme.mu,
-        "money_qubits": scheme.money_qubits,
-        "mint_query_bound": scheme.mint_query_bound,
-        "verify_query_bound": scheme.verify_query_bound,
-        "query_levels": list(scheme.query_levels),
-        "mint_output": list(mint_meta.output_qubits),
-        "verify_input": list(ver_meta.input_qubits),
-        "verify_accept": ver_meta.accept_qubit,
-        "mint": _write_circuits(path, "mint", scheme.keys, lambda k: scheme.mint(k).circuit),
-        "verify": _write_circuits(
-            path, "verify", scheme.keys, lambda k: scheme.verify(k).circuit
-        ),
-    }
-    with open(os.path.join(path, "scheme.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def load_money_scheme(path: str) -> MoneyScheme:
-    with open(os.path.join(path, "scheme.json")) as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != "money":
-        raise ValueError("manifest does not describe a money scheme")
-
-    def circuit_for(table: dict[str, str], key: str) -> OracleAidedCircuit:
-        with open(os.path.join(path, table[key])) as fh:
-            return ow.parse_circuit(fh.read())
-
-    mint_out = tuple(manifest["mint_output"])
-    ver_in = tuple(manifest["verify_input"])
-    accept = manifest["verify_accept"]
-    return MoneyScheme(
-        name=manifest["name"],
-        kappa=manifest["kappa"],
-        keys=tuple(manifest["keys"]),
-        mint=lambda k: PreparedCircuit(circuit_for(manifest["mint"], k), mint_out),
-        verify=lambda k: VerifierCircuit(circuit_for(manifest["verify"], k), ver_in, accept),
-        mu=manifest["mu"],
-        money_qubits=manifest["money_qubits"],
-        mint_query_bound=manifest["mint_query_bound"],
-        verify_query_bound=manifest["verify_query_bound"],
-        query_levels=tuple(manifest["query_levels"]),
     )
 
 
@@ -520,4 +391,73 @@ def subset_pair_money(key_bits: int, lam: int) -> MoneyScheme:
         mint_query_bound=1,
         verify_query_bound=1,
         query_levels=(lam,),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Disk format: one circuit text file per (role, key) plus a JSON manifest
+
+#: Manifest ``kind`` -> (scheme class, name of its preparation role).
+_SCHEME_KINDS = {"owsg": (OwsgCandidate, "gen"), "money": (MoneyScheme, "mint")}
+MANIFEST = "scheme.json"
+
+
+def save_scheme(scheme: OwsgCandidate | MoneyScheme, path: str) -> None:
+    """Write the scheme as ``<role>-<key>.circ`` files plus ``scheme.json``.
+
+    The manifest holds the scheme's ``kind``, its plain fields, and the
+    qubit layout its circuits share across keys.  Only schemes built from
+    named gates serialize.
+    """
+    kind = next(k for k, (cls, _) in _SCHEME_KINDS.items() if isinstance(scheme, cls))
+    prep_role = _SCHEME_KINDS[kind][1]
+    roles = {prep_role: getattr(scheme, prep_role), "verify": scheme.verify}
+    os.makedirs(path, exist_ok=True)
+    for role, build in roles.items():
+        for key in scheme.keys:
+            with open(os.path.join(path, f"{role}-{key}.circ"), "w") as fh:
+                fh.write(ow.format_circuit(build(key).circuit))
+    prep = roles[prep_role](scheme.keys[0])
+    ver = scheme.verify(scheme.keys[0])
+    manifest = {
+        "kind": kind,
+        "fields": {
+            f.name: getattr(scheme, f.name)
+            for f in fields(scheme)
+            if f.name not in roles
+        },
+        "prep_output": list(prep.output_qubits),
+        "verify_input": list(ver.input_qubits),
+        "verify_accept": ver.accept_qubit,
+    }
+    with open(os.path.join(path, MANIFEST), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+def load_scheme(path: str) -> OwsgCandidate | MoneyScheme:
+    """Load a scheme written by :func:`save_scheme`.
+
+    Raises ``ValueError`` when the manifest's ``kind`` is unknown.
+    """
+    with open(os.path.join(path, MANIFEST)) as fh:
+        manifest = json.load(fh)
+    kind = manifest.get("kind")
+    if kind not in _SCHEME_KINDS:
+        raise ValueError(f"unknown scheme kind {kind!r} in {MANIFEST}")
+    cls, prep_role = _SCHEME_KINDS[kind]
+
+    def circuit(role: str, key: str) -> OracleAidedCircuit:
+        with open(os.path.join(path, f"{role}-{key}.circ")) as fh:
+            return ow.parse_circuit(fh.read())
+
+    prep_out = tuple(manifest["prep_output"])
+    ver_in = tuple(manifest["verify_input"])
+    accept = manifest["verify_accept"]
+    plain = {
+        k: tuple(v) if isinstance(v, list) else v for k, v in manifest["fields"].items()
+    }
+    return cls(
+        **plain,
+        **{prep_role: lambda k: PreparedCircuit(circuit(prep_role, k), prep_out)},
+        verify=lambda k: VerifierCircuit(circuit("verify", k), ver_in, accept),
     )

@@ -1,90 +1,30 @@
 """Symmetric-subspace projection and reflection over equal-size register blocks.
 
-The projector onto the permutation-symmetric subspace of ``block_count``
-registers is realized by averaging register-permuted copies of the
-amplitude array (one transpose per permutation of the blocks), never by
-materializing the projector matrix.  Cost is ``block_count! * dim``, so
-``block_count`` is capped at 7 (7! = 5040).
+Blocks are given explicitly as lists of qubit axes, one list per block, so
+they need not be contiguous.  The projector P onto the
+permutation-symmetric subspace of the blocks is realized by averaging
+block-permuted copies of the amplitude array (one transpose per
+permutation, ``permutation_average``), never by materializing the
+projector matrix; ``reflect_blocks`` applies I - 2P, the gate a rewritten
+oracle query becomes.  Cost is ``count! * 2^num_qubits`` for ``count``
+blocks, so ``count`` is capped by ``POLICY.max_block_factorial`` (7! =
+5040).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
-from .qcore import POLICY, CapacityError, StateVector
+from .qcore import POLICY, CapacityError
 
 __all__ = [
-    "RegisterBlock",
-    "ProjectionResult",
-    "symmetric_project",
-    "symmetric_reflect",
     "permutation_average",
     "reflect_blocks",
 ]
-
-
-@dataclass(frozen=True)
-class RegisterBlock:
-    """``block_count`` contiguous registers of ``block_qubits`` qubits each,
-    starting at qubit ``base_offset`` inside a larger state."""
-
-    block_qubits: int
-    block_count: int
-    base_offset: int = 0
-
-    def __post_init__(self) -> None:
-        if self.block_qubits < 1:
-            raise ValueError("block_qubits must be positive")
-        if self.block_count < 1:
-            raise ValueError("block_count must be positive")
-        if self.base_offset < 0:
-            raise ValueError("base_offset must be nonnegative")
-        if math.factorial(self.block_count) > POLICY.max_block_factorial:
-            raise CapacityError(
-                f"{self.block_count}! permutations exceed the "
-                f"{POLICY.max_block_factorial} cap"
-            )
-
-    @property
-    def total_qubits(self) -> int:
-        return self.block_qubits * self.block_count
-
-    def axes(self) -> list[tuple[int, ...]]:
-        """Qubit indices of each block, in block order."""
-        return [
-            tuple(
-                self.base_offset + i * self.block_qubits + j
-                for j in range(self.block_qubits)
-            )
-            for i in range(self.block_count)
-        ]
-
-    def fits(self, num_qubits: int) -> bool:
-        return self.base_offset + self.total_qubits <= num_qubits
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Unnormalized projection amplitudes together with their squared norm.
-
-    ``weight`` is the Born probability of the symmetric outcome in the
-    two-outcome measurement {P, I-P}, so callers get the measurement for
-    free.
-    """
-
-    num_qubits: int
-    amplitudes: np.ndarray
-    weight: float
-
-    def normalized(self) -> StateVector:
-        if self.weight <= POLICY.prob_atol:
-            raise ValueError("projection has (numerically) zero weight")
-        return StateVector(self.num_qubits, self.amplitudes / math.sqrt(self.weight))
 
 
 def permutation_average(
@@ -122,32 +62,11 @@ def permutation_average(
     return acc.reshape(-1)
 
 
-def symmetric_project(state: StateVector, blocks: RegisterBlock) -> ProjectionResult:
-    """Project onto the symmetric subspace of the blocks (identity elsewhere).
-
-    Returns the unnormalized projection and its squared norm.
-    """
-    if not blocks.fits(state.num_qubits):
-        raise ValueError("blocks do not fit in the state")
-    projected = permutation_average(state.amplitudes, state.num_qubits, blocks.axes())
-    weight = float(np.vdot(projected, projected).real)
-    return ProjectionResult(state.num_qubits, projected, weight)
-
-
-def symmetric_reflect(state: StateVector, blocks: RegisterBlock) -> StateVector:
-    """Apply I - 2*P where P projects onto the blocks' symmetric subspace."""
-    result = symmetric_project(state, blocks)
-    out = state.amplitudes - 2.0 * result.amplitudes
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > POLICY.involution_atol:
-        raise AssertionError(f"reflection broke the norm: {norm}")
-    return StateVector(state.num_qubits, out / norm)
-
-
 def reflect_blocks(
     amplitudes: np.ndarray, num_qubits: int, block_axes: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """Raw-array symmetric reflection over explicit (possibly non-contiguous)
-    blocks; used by the circuit executor for rewritten oracle gates."""
+    """Apply I - 2P to the amplitude array, P the symmetric projector of
+    the given blocks; used by the circuit executor for rewritten oracle
+    gates."""
     projected = permutation_average(amplitudes, num_qubits, block_axes)
     return amplitudes - 2.0 * projected

@@ -1,7 +1,10 @@
 """Gentle search and shadow tomography over keyed accept/reject families.
 
-Exact acceptance probabilities (density/pure evolution) are the baseline
-that every measurement-driven run is checked against.  The
+Exact acceptance probabilities are the baseline that every
+measurement-driven run is checked against.  A circuit procedure evolves a
+pure input with ``oracleworld.evolve``; a mixed input is eigendecomposed
+(it has only the procedure's arity in qubits) and its accept probability
+is the eigenvalue-weighted sum over the eigenvectors.  The
 measurement-driven implementations consume fresh input copies per
 measurement, so each measurement is an independent Bernoulli draw at the
 element's exact accept probability; sample counts follow this module's own
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Protocol, Sequence
+from typing import Callable, Hashable, Mapping, Protocol
 
 import numpy as np
 
@@ -64,6 +67,8 @@ class CircuitAcceptProcedure:
     The challenge occupies ``input_qubits``; every other wire starts at
     |0>.  Oracle gates are evaluated against ``env`` without charging its
     query counters (the exact path is an analysis tool, not an algorithm).
+    A mixed challenge goes through the same pure path, once per
+    eigenvector of its density matrix.
     """
 
     circuit: ow.OracleAidedCircuit
@@ -86,48 +91,18 @@ class CircuitAcceptProcedure:
             raise ValueError(
                 f"expected a {self.arity}-qubit input, got {state.num_qubits}"
             )
-        prefix = ow.unitary_prefix(self.circuit)
-        if isinstance(state, StateVector):
-            main = qcore.embed_state(state, self.circuit.num_qubits, self.input_qubits)
-            for g in prefix:
-                if g.kind == "unitary":
-                    main = qcore.apply_unitary(main, g.matrix, g.targets)
-                elif g.kind == "oracle":
-                    main = ow.apply_oracle(main, self.env, g.lam, g.targets, count=False)
-                else:
-                    raise ValueError(f"unsupported gate kind {g.kind!r}")
-            return float(qcore.born_probabilities(main, [self.accept_qubit])[1])
-        # Mixed input: conjugate the density matrix gate by gate.
-        n = self.circuit.num_qubits
-        pad = qcore.promote(qcore.zero_state(n - self.arity))
-        rho = np.kron(state.entries, pad.entries)
-        rho_dm = DensityMatrix(n, rho)
-        rest = [q for q in range(n) if q not in self.input_qubits]
-        order = list(self.input_qubits) + rest
-        perm = [0] * n
-        for i, q in enumerate(order):
-            perm[q] = i
-        # Reorder qubits so the challenge block lands on input_qubits.
-        rho_dm = _permute_dm(rho_dm, perm)
-        for g in prefix:
-            if g.kind == "unitary":
-                rho_dm = qcore.apply_unitary_dm(rho_dm, g.matrix, g.targets)
-            elif g.kind == "oracle":
-                mat = ow.oracle_matrix(self.env.spec(g.lam))
-                rho_dm = qcore.apply_unitary_dm(rho_dm, mat, g.targets)
-            else:
-                raise ValueError(f"unsupported gate kind {g.kind!r}")
-        reduced = qcore.partial_trace(rho_dm, [self.accept_qubit])
-        return float(np.real(reduced.entries[1, 1]))
-
-
-def _permute_dm(rho: DensityMatrix, new_positions: Sequence[int]) -> DensityMatrix:
-    n = rho.num_qubits
-    tens = rho.entries.reshape((2,) * (2 * n))
-    src = list(range(n)) + [n + i for i in range(n)]
-    dst = list(new_positions) + [n + p for p in new_positions]
-    tens = np.moveaxis(tens, src, dst)
-    return DensityMatrix(n, tens.reshape(rho.dim, rho.dim))
+        if isinstance(state, DensityMatrix):
+            # Linear in the input: weight the pure-path probabilities of
+            # the eigenvectors by their eigenvalues.
+            weights, vectors = np.linalg.eigh(state.entries)
+            return sum(
+                float(w) * self.accept_probability(StateVector(self.arity, v))
+                for w, v in zip(weights, vectors.T)
+                if w > 0.0
+            )
+        main = qcore.embed_state(state, self.circuit.num_qubits, self.input_qubits)
+        main = ow.evolve(main, ow.unitary_prefix(self.circuit), self.env, count=False)
+        return float(qcore.born_probabilities(main, [self.accept_qubit])[1])
 
 
 @dataclass

@@ -137,6 +137,18 @@ def test_money_forge_chosen_key_quality(env2):
     assert p >= scheme.mu * (1 - 10 * params.eta) - 1e-9
 
 
+def test_forge_cache_keeps_only_the_current_oracle_instance():
+    scheme = schemes.subset_pair_money(2, 2)
+    params = MoneyForgeParams(exact_estimators=False, copies_per_query=8)
+    envs = [OracleEnv([ow.SubsetSpec(2, members)]) for members in ((1, 2), (1, 3))]
+    for i, env in enumerate(envs):
+        challenges = [scheme.mint_state("10", env, count=False)]
+        money_forge(scheme, env, challenges, params, Rng(17).child(i))
+    token, entries = scheme._forge_cache
+    assert token == attacks._env_token(scheme, envs[1])
+    assert entries and {ck[2] for ck in entries} == {token}
+
+
 def test_money_forge_measurement_mode():
     scheme = schemes.wiesner_money(3)
     params = MoneyForgeParams(exact_estimators=False)

@@ -121,6 +121,14 @@ def test_money_forge_echoes_the_config_it_ran(tmp_path):
     assert echo["m"] == 2
 
 
+def test_money_forge_rejects_m_zero(tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text("seed=1\nscheme=subset-pair\nm=0\ntrials=1\n")
+    code = cli.main(["money-forge", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "money-forge-report.json").exists()
+
+
 def test_config_file_with_seed_override(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("seed=1\nlam=4\n")

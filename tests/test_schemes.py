@@ -1,6 +1,8 @@
 """Candidate schemes: correctness registration and accept-probability
 tables."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -138,8 +140,8 @@ def test_keygen_uniform():
 
 def test_owsg_candidate_disk_roundtrip(tmp_path, env2):
     cand = schemes.oracle_echo_owsg(2, 2)
-    schemes.save_owsg_candidate(cand, str(tmp_path / "echo"))
-    loaded = schemes.load_owsg_candidate(str(tmp_path / "echo"))
+    schemes.save_scheme(cand, str(tmp_path / "echo"))
+    loaded = schemes.load_scheme(str(tmp_path / "echo"))
     assert loaded.keys == cand.keys and loaded.query_bound == 2
     assert loaded.check_correctness(env2) == pytest.approx(1.0, abs=1e-9)
     phi = loaded.generate_state("10", env2)
@@ -148,12 +150,22 @@ def test_owsg_candidate_disk_roundtrip(tmp_path, env2):
 
 def test_money_scheme_disk_roundtrip(tmp_path, env2):
     scheme = schemes.subset_pair_money(2, 2)
-    schemes.save_money_scheme(scheme, str(tmp_path / "money"))
-    loaded = schemes.load_money_scheme(str(tmp_path / "money"))
+    schemes.save_scheme(scheme, str(tmp_path / "money"))
+    loaded = schemes.load_scheme(str(tmp_path / "money"))
     assert loaded.mu == 1.0 and loaded.money_qubits == 4
     assert loaded.check_correctness(env2) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(OSError):
-        schemes.load_owsg_candidate(str(tmp_path / "money") + "-missing")
+        schemes.load_scheme(str(tmp_path / "money") + "-missing")
+
+
+def test_load_scheme_rejects_unknown_kind(tmp_path):
+    schemes.save_scheme(schemes.wiesner_money(1), str(tmp_path))
+    manifest = tmp_path / schemes.MANIFEST
+    data = json.loads(manifest.read_text())
+    data["kind"] = "bogus"
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        schemes.load_scheme(str(tmp_path))
 
 
 def test_candidate_circuits_serialize():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from subsetlab import qcore, schemes, tomography
-from subsetlab.oracleworld import Gate, OracleAidedCircuit
+from subsetlab.oracleworld import Gate, OracleAidedCircuit, OracleEnv, oracle_matrix, sample_subset
 from subsetlab.qcore import Rng, zero_state, basis_state
 from subsetlab.tomography import (
     CallableAcceptProcedure,
@@ -62,6 +62,45 @@ def test_density_matrix_input_is_linear():
         [(0.3, qcore.promote(basis_state(1, 0))), (0.7, qcore.promote(basis_state(1, 1)))]
     )
     assert proc.accept_probability(mixed) == pytest.approx(0.3 * p0 + 0.7 * p1, abs=1e-10)
+
+
+def _conjugate(rho, matrix, targets, n):
+    """U rho U^dagger, U = `matrix` on the target qubits of n qubits."""
+    k = len(targets)
+    u = matrix.reshape((2,) * (2 * k))
+    tens = rho.reshape((2,) * (2 * n))
+    for legs, op in ((list(targets), u), ([n + t for t in targets], u.conj())):
+        tens = np.tensordot(op, tens, axes=(range(k, 2 * k), legs))
+        tens = np.moveaxis(tens, range(k), legs)
+    return tens.reshape(1 << n, 1 << n)
+
+
+def test_mixed_input_matches_density_matrix_conjugation():
+    # Reference: pad the challenge's density matrix with |0><0| and
+    # conjugate it gate by gate, the oracle as its materialized matrix.
+    env = OracleEnv([sample_subset(2, Rng(3))])
+    cand = schemes.oracle_echo_owsg(2, 2)
+    g = Rng(21).generator
+    a = g.normal(size=(4, 4)) + 1j * g.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    mixed = qcore.DensityMatrix(2, rho)
+    for key in cand.keys:
+        v = cand.verify(key)
+        assert v.input_qubits == (0, 1)
+        n = v.circuit.num_qubits
+        pad = np.zeros((1 << (n - 2), 1 << (n - 2)))
+        pad[0, 0] = 1.0
+        full = np.kron(rho, pad)
+        for gate in v.circuit.gates:
+            if gate.kind == "oracle":
+                full = _conjugate(full, oracle_matrix(env.spec(gate.lam)), gate.targets, n)
+            else:
+                full = _conjugate(full, gate.matrix, gate.targets, n)
+        diag = np.real(np.diag(full)).reshape((2,) * n)
+        reference = float(diag.take(1, axis=v.accept_qubit).sum())
+        proc = CircuitAcceptProcedure(v.circuit, v.input_qubits, v.accept_qubit, env)
+        assert abs(proc.accept_probability(mixed) - reference) < 1e-10
 
 
 def test_family_rejects_duplicates_and_unknown_keys():
