@@ -268,24 +268,31 @@ class MoneyForgeResult:
     formulas: dict[str, str]
 
 
+#: Oracle instances whose exact values the forger keeps; lam=2 has three.
+_FORGE_CACHE_INSTANCES = 4
+
+
 def _exact_value_cache(scheme, token) -> dict:
     """Memo for exact accept probabilities, living on the scheme object.
 
-    It holds the entries of one oracle instance, ``token`` (see
-    ``_env_token``), and starts empty when the instance changes, so it
-    stays bounded across trials.  Keys also carry the token and the copy
-    count, so entries are only reused when they are genuinely the same
-    exact quantity.  An oracle-free scheme has one token, so its entries
-    persist across trials.
+    It holds the entries of the last ``_FORGE_CACHE_INSTANCES`` oracle
+    instances, ``token`` (see ``_env_token``) naming one, so it stays
+    bounded across trials and reuses an instance's values when a later
+    trial draws it again.  Keys also carry the token and the copy count,
+    so entries are only reused when they are genuinely the same exact
+    quantity.  An oracle-free scheme has one token, so its entries persist
+    across trials.
     """
     owner = scheme.scheme if isinstance(scheme, SchemeHandle) else scheme
-    # One (token, entries) pair, swapped by a single assignment, so each
-    # caller gets the entries of its own token.
-    held = getattr(owner, "_forge_cache", None)
-    if held is None or held[0] != token:
-        held = (token, {})
-        owner._forge_cache = held
-    return held[1]
+    # setdefault, so that threads forging with one scheme share one cache.
+    instances = owner.__dict__.setdefault(
+        "_forge_cache", emulate.LruCache(_FORGE_CACHE_INSTANCES)
+    )
+    entries = instances.get(token)
+    if entries is None:
+        entries = {}
+        instances.put(token, entries)
+    return entries
 
 
 def _env_token(scheme, env: ow.OracleEnv):

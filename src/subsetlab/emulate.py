@@ -14,6 +14,16 @@ Two exact evaluation paths exist for a rewritten circuit:
 
 Both paths agree to numerical precision; tests pin that.
 
+Each level's sector is built from its creation map ``B``: column (i, m),
+the query block in mode i and the copies in occupation m, goes to the
+occupation m + e_i of all ell+1 registers with weight sqrt(n_i(m) + 1).
+The symmetric projector is ``B^T B / (ell+1)`` (Harrow's A A^dagger,
+arXiv:1308.6595), and a query applies ``I - 2P`` as two products with the
+sparse ``B``, never forming ``P``.  Mode 0 of the copies is |1>|S->; the
+query block is taken into that basis and back by the Householder mirror
+``I - 2|w><w|``, w = (|0> - |1>|S->)/sqrt(2), which costs O(N) per
+amplitude vector where a dense basis change costs O(N^2).
+
 Emulated verifiers (``EmulatedAcceptProcedure``) evaluate only the
 oracle's light cone in the compressed basis: the qubits linked to an
 oracle block by a chain of shared gates, where the input qubits count as
@@ -29,9 +39,11 @@ factorizes.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +69,7 @@ __all__ = [
     "random_oracle_circuit",
     "pre_query_state",
     "effective_axis_overlap",
+    "LruCache",
 ]
 
 MIN_GUARANTEED_ELL = 4
@@ -217,84 +230,68 @@ def run_emulated_explicit(
 # Compressed evaluation
 
 
-def _orthonormal_basis_with_first(chi: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is `chi` (modified Gram-Schmidt fill)."""
-    dim = chi.shape[0]
-    cols = [chi / np.linalg.norm(chi)]
-    for e in range(dim):
-        v = np.zeros(dim, dtype=np.complex128)
-        v[e] = 1.0
-        for c in cols:
-            v = v - c * np.vdot(c, v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            cols.append(v / norm)
-        if len(cols) == dim:
-            break
-    if len(cols) != dim:
-        raise AssertionError("basis completion failed")
-    return np.stack(cols, axis=1)
-
-
 @dataclass
 class _Sector:
-    lam: int
     ell: int
-    cutoff: int
-    dim: int  # per-register dimension N = 2^(lam+1)
-    occupations: list[tuple[int, ...]]
-    index: dict[tuple[int, ...], int]
-    basis: np.ndarray  # N x N, column 0 = |1>|S->
-    projector: sp.csr_matrix  # symmetric projector on (D-mode, occupation)
-
-    @property
-    def size(self) -> int:
-        return len(self.occupations)
+    size: int  # K, the number of copy occupations
+    mirror: np.ndarray  # w of the mirror I - 2|w><w| that maps |0> to |1>|S->
+    creation: sp.csc_matrix  # B; B^T B / (ell+1) is the symmetric projector
 
 
-def _build_sector(lam: int, ell: int, cutoff: int, chi: np.ndarray) -> _Sector:
-    dim = chi.shape[0]
-    occupations: list[tuple[int, ...]] = []
+def _creation_map(dim: int, ell: int, cutoff: int) -> sp.csc_matrix:
+    """The creation map B of one level's truncated symmetric sector.
+
+    The sector's copy occupations are the multisets m of the excited modes
+    1..dim-1 with at most `cutoff` elements, vacuum first; mode 0 holds the
+    other ell - |m| copies.  Column i*K + index(m) of B is |i> on the query
+    block times |m> on the copies.  B sends it to the occupation m + e_i of
+    all ell+1 registers with weight sqrt(n_i(m) + 1), so B^T B / (ell+1) is
+    the projector onto the symmetric subspace, restricted to the sector
+    (Harrow, arXiv:1308.6595).  B has one nonzero per column, and its
+    columns cover only the sector, so the cutoff needs no special case.
+    """
+    occupations = []
     for k in range(cutoff + 1):
-        occupations.extend(combinations_with_replacement(range(1, dim), k))
-    index = {occ: i for i, occ in enumerate(occupations)}
-    K = len(occupations)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for m_idx, m in enumerate(occupations):
-        n0 = ell - len(m)
-        if n0 < 0:
-            raise ValueError(f"copy count {ell} below excitation cutoff {cutoff}")
-        for i in range(dim):
-            n_i = n0 if i == 0 else m.count(i)
-            src = i * K + m_idx
-            m_plus = m if i == 0 else tuple(sorted(m + (i,)))
-            n0_plus = n0 + 1 if i == 0 else n0
-            # Candidate removals: the vacuum mode plus every excited mode
-            # present after the insertion.
-            for j in {0, *m_plus}:
-                if j == 0:
-                    if n0_plus < 1:
-                        continue
-                    m_new = m_plus
-                    nj = n0_plus
-                else:
-                    m_new = list(m_plus)
-                    m_new.remove(j)
-                    m_new = tuple(m_new)
-                    nj = m_plus.count(j)
-                if m_new not in index:
-                    # Beyond the excitation cutoff; unreachable when gates
-                    # are applied in query order, so safe to drop.
-                    continue
-                rows.append(j * K + index[m_new])
-                cols.append(src)
-                vals.append(math.sqrt((n_i + 1) * nj) / (ell + 1))
-    projector = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(dim * K, dim * K), dtype=np.float64
+        combos = np.array(
+            list(combinations_with_replacement(range(1, dim), k)), dtype=np.int64
+        )
+        # Left-padded with mode 0, so every row stays sorted.
+        occupations.append(np.pad(combos, ((0, 0), (cutoff - k, 0))))
+    occ = np.concatenate(occupations)
+    K = occ.shape[0]
+    modes = np.repeat(np.arange(dim), K)
+    grown = np.sort(np.column_stack([np.tile(occ, (dim, 1)), modes]), axis=1)
+    # The total is always ell+1, so the sorted excited modes name a grown
+    # occupation.  Rank the rows one column at a time: a key is a prefix's
+    # rank times dim plus the next mode, so it stays below dim^2 K.
+    rows = np.zeros(dim * K, dtype=np.int64)
+    for column in grown.T:
+        _, rows = np.unique(rows * dim + column, return_inverse=True)
+    # n_i(m) + 1 is the count of i in the grown row; for mode 0 the padding
+    # holds cutoff - |m| + 1 of the ell - |m| + 1 zeros.
+    counts = (grown == modes[:, None]).sum(axis=1) + (ell - cutoff) * (modes == 0)
+    return sp.csc_matrix(
+        (np.sqrt(counts), rows, np.arange(dim * K + 1)),
+        shape=(int(rows.max()) + 1, dim * K),
     )
-    return _Sector(lam, ell, cutoff, dim, occupations, index, _orthonormal_basis_with_first(chi), projector)
+
+
+def _build_sector(ell: int, cutoff: int, chi: np.ndarray) -> _Sector:
+    dim = chi.shape[0]
+    creation = _creation_map(dim, ell, cutoff)
+    # chi = |1>|S-> has chi[0] = 0, so w = (|0> - chi)/sqrt(2) is a unit
+    # vector and I - 2|w><w| swaps |0> and chi.  Any unitary that maps |0>
+    # to chi serves: the sector is invariant under unitaries that fix
+    # mode 0, and the projector commutes with V^(x)(ell+1).
+    mirror = -chi / np.linalg.norm(chi)
+    mirror[0] += 1.0
+    return _Sector(ell, creation.shape[1] // dim, mirror / math.sqrt(2.0), creation)
+
+
+def _apply_mirror(w: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """(I - 2|w><w|) on axis 1 of `flat`, of shape (R, N, K)."""
+    overlap = np.tensordot(w.conj(), flat, axes=(0, 1))
+    return flat - 2.0 * w[:, None] * overlap[:, None, :]
 
 
 _MAIN_ACTION_CACHE: dict = {}
@@ -395,10 +392,13 @@ class EmulationEngine:
         self.levels = tuple(sorted(ell_per_lambda))
         # Checked before any sector is built: a level's sector holds every
         # occupation of the N-1 excited modes with at most `cutoff`
-        # excitations, C(N-1+cutoff, cutoff) of them (N = 2^(lam+1)).
+        # excitations, C(N-1+cutoff, cutoff) of them (N = 2^(lam+1)), and
+        # each needs ell - cutoff >= 0 copies left in mode 0.
         entries = 1 << num_main_qubits
         for lam in self.levels:
-            cutoff = int(cutoff_per_lambda[lam])
+            ell, cutoff = int(ell_per_lambda[lam]), int(cutoff_per_lambda[lam])
+            if ell < cutoff:
+                raise ValueError(f"copy count {ell} below excitation cutoff {cutoff}")
             entries *= math.comb((1 << (lam + 1)) - 1 + cutoff, cutoff)
         if entries > POLICY.max_engine_entries:
             raise CapacityError(
@@ -408,7 +408,7 @@ class EmulationEngine:
         for lam in self.levels:
             chi = ow.oracle_axis_state(env.spec(lam)).amplitudes
             self.sectors[lam] = _build_sector(
-                lam, int(ell_per_lambda[lam]), int(cutoff_per_lambda[lam]), chi
+                int(ell_per_lambda[lam]), int(cutoff_per_lambda[lam]), chi
             )
         self.sector_sizes = tuple(self.sectors[lam].size for lam in self.levels)
 
@@ -458,7 +458,7 @@ class EmulationEngine:
         pos = self.levels.index(lam)
         n = self.num_main_qubits
         block = lam + 1
-        N, K = sector.dim, sector.size
+        N, K = 1 << block, sector.size
         tens = state.array.reshape((2,) * n + self.sector_sizes)
         # Bring the query-block axes to the tail of the main part, then the
         # sector axis right after them.
@@ -468,14 +468,14 @@ class EmulationEngine:
         work = tens.reshape(1 << (n - block), N, K, -1)
         work = np.moveaxis(work, 3, 1)  # (pre, rest, N, K)
         pre, rest = work.shape[0], work.shape[1]
-        flat = work.reshape(pre * rest, N, K)
-        # Rotate the query block into the copy-aligned basis.
-        v = sector.basis
-        flat = np.einsum("ab,rbk->rak", v.conj().T, flat, optimize=True)
+        # The mirror takes the query block into the basis whose mode 0 is
+        # |1>|S->, the copies' mode, and back; in between, I - 2P with
+        # P = B^T B / (ell+1), never formed.
+        flat = _apply_mirror(sector.mirror, work.reshape(pre * rest, N, K))
         vec = flat.reshape(pre * rest, N * K)
-        vec = vec - 2.0 * (vec @ sector.projector.T)
-        flat = vec.reshape(pre * rest, N, K)
-        flat = np.einsum("ab,rbk->rak", v, flat, optimize=True)
+        B = sector.creation
+        vec = vec - (2.0 / (sector.ell + 1)) * ((vec @ B.T) @ B)
+        flat = _apply_mirror(sector.mirror, vec.reshape(pre * rest, N, K))
         work = flat.reshape(pre, rest, N, K)
         work = np.moveaxis(work, 1, 3)
         tens = work.reshape(lead_shape)
@@ -737,7 +737,53 @@ class EmulatedAcceptProcedure:
         return p * out.norm() ** 2
 
 
-_ENGINE_CACHE: dict = {}
+class LruCache:
+    """A least-recently-used map bounded by the summed weight of its values.
+
+    ``put`` evicts the least recently used entries until the weights sum
+    to at most ``budget``, but never the entry it just stored, so one
+    entry heavier than the budget is still kept until the next ``put``.
+    Safe to share between threads.
+    """
+
+    def __init__(self, budget: int, weight: Callable[[object], int] = lambda value: 1):
+        self.budget = budget
+        self.weight = weight
+        self.total = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable) -> object:
+        """The value stored under `key`, now the most recent, or None."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: object) -> None:
+        with self._lock:
+            old = self._entries.pop(key, _MISSING)
+            if old is not _MISSING:
+                self.total -= self.weight(old)
+            self._entries[key] = value
+            self.total += self.weight(value)
+            while self.total > self.budget and len(self._entries) > 1:
+                _, evicted = self._entries.popitem(last=False)
+                self.total -= self.weight(evicted)
+
+
+#: Nonzeros of stored creation maps (about 12 bytes each) that the engine
+#: cache may hold.  Engines of a fresh subset are never reused, so without
+#: a bound a long corpus run keeps every one it built.
+_ENGINE_CACHE_NONZEROS = 1 << 24
+
+
+def _engine_nonzeros(engine: EmulationEngine) -> int:
+    return sum(sector.creation.nnz for sector in engine.sectors.values())
+
+
+_ENGINE_CACHE = LruCache(_ENGINE_CACHE_NONZEROS, _engine_nonzeros)
 
 
 def _cached_engine(
@@ -756,7 +802,5 @@ def _cached_engine(
     engine = _ENGINE_CACHE.get(key)
     if engine is None:
         engine = EmulationEngine(env, num_main, ells, counts)
-        if len(_ENGINE_CACHE) > 256:
-            _ENGINE_CACHE.clear()
-        _ENGINE_CACHE[key] = engine
+        _ENGINE_CACHE.put(key, engine)
     return engine

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from subsetlab import attacks, qcore, schemes
+from subsetlab import attacks, emulate, qcore, schemes
 from subsetlab import oracleworld as ow
 from subsetlab.attacks import (
     ForgeAbort,
@@ -137,16 +137,45 @@ def test_money_forge_chosen_key_quality(env2):
     assert p >= scheme.mu * (1 - 10 * params.eta) - 1e-9
 
 
-def test_forge_cache_keeps_only_the_current_oracle_instance():
-    scheme = schemes.subset_pair_money(2, 2)
+def forge_on(scheme, env, seed):
     params = MoneyForgeParams(exact_estimators=False, copies_per_query=8)
-    envs = [OracleEnv([ow.SubsetSpec(2, members)]) for members in ((1, 2), (1, 3))]
+    challenges = [scheme.mint_state("10", env, count=False)]
+    money_forge(scheme, env, challenges, params, Rng(17).child(seed))
+
+
+def test_forge_cache_keeps_the_last_four_oracle_instances():
+    # lam=2 has three oracle instances; all of them stay, and two more
+    # tokens push out the least recently used one.
+    scheme = schemes.subset_pair_money(2, 2)
+    envs = [OracleEnv([ow.SubsetSpec(2, m)]) for m in ((1, 2), (1, 3), (2, 3))]
     for i, env in enumerate(envs):
-        challenges = [scheme.mint_state("10", env, count=False)]
-        money_forge(scheme, env, challenges, params, Rng(17).child(i))
-    token, entries = scheme._forge_cache
-    assert token == attacks._env_token(scheme, envs[1])
-    assert entries and {ck[2] for ck in entries} == {token}
+        forge_on(scheme, env, i)
+    instances = scheme._forge_cache
+    tokens = [attacks._env_token(scheme, env) for env in envs]
+    for token in tokens:
+        entries = instances.get(token)
+        assert entries and {ck[2] for ck in entries} == {token}
+    for extra in ("a", "b"):
+        attacks._exact_value_cache(scheme, extra)
+    assert len(instances._entries) == attacks._FORGE_CACHE_INSTANCES == 4
+    assert instances.get(tokens[0]) is None
+    assert instances.get(tokens[1]) and instances.get(tokens[2])
+
+
+def test_forge_cache_reuses_a_revisited_oracle_instance(monkeypatch):
+    scheme = schemes.subset_pair_money(2, 2)
+    envs = [OracleEnv([ow.SubsetSpec(2, m)]) for m in ((1, 2), (1, 3))]
+    forge_on(scheme, envs[0], 0)
+    forge_on(scheme, envs[1], 1)
+    calls = []
+    evaluate = emulate.EmulatedAcceptProcedure.accept_probability
+    monkeypatch.setattr(
+        emulate.EmulatedAcceptProcedure,
+        "accept_probability",
+        lambda self, state: calls.append(1) or evaluate(self, state),
+    )
+    forge_on(scheme, envs[0], 2)
+    assert not calls
 
 
 def test_money_forge_measurement_mode():

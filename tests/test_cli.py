@@ -108,6 +108,16 @@ def test_oversized_engine_exits_3(tmp_path):
     assert code == 3
 
 
+def test_too_few_copies_exits_2(tmp_path):
+    # ell = 1 copy cannot hold q = 2 excitations.
+    config = tmp_path / "cfg.txt"
+    config.write_text("seed=3\nlam=2\nq=2\nell=1\n")
+    code = cli.main(
+        ["emulate-bound", "--config", str(config), "--out", str(tmp_path)]
+    )
+    assert code == 2
+
+
 def test_money_forge_echoes_the_config_it_ran(tmp_path):
     # Under the default config (epsilon = delta = 0.5) shadow tomography
     # runs at 0.1 and 0.05; the report must show the values used.

@@ -1,9 +1,13 @@
 """Rewriting, copy generation, projection, and the error analysis."""
 
 import math
+import sys
+import threading
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from subsetlab import emulate
 from subsetlab import oracleworld as ow
@@ -330,6 +334,133 @@ def test_engine_capacity_checked_before_sectors(monkeypatch):
     env = OracleEnv([ow.sample_subset(8, Rng(0))])
     with pytest.raises(CapacityError):
         EmulationEngine(env, 10, {8: 31}, {8: 2})
+
+
+def test_engine_copy_count_checked_before_sectors(monkeypatch):
+    # ell = 1 copy cannot hold q = 2 excitations; the check must come
+    # before any sector is built.
+    def fail(*args, **kwargs):
+        raise AssertionError("sector built before the copy-count check")
+
+    monkeypatch.setattr(emulate, "_build_sector", fail)
+    env = OracleEnv([ow.sample_subset(2, Rng(0))])
+    with pytest.raises(ValueError, match="below excitation cutoff"):
+        EmulationEngine(env, 3, {2: 1}, {2: 2})
+
+
+# ---------------------------------------------------------------------------
+# The sector's creation map against the nested-loop projector
+
+
+def loop_projector(dim, ell, cutoff):
+    """The symmetric projector on (query mode, copy occupation), built by
+    inserting one excitation, removing one and dropping entries past the
+    cutoff."""
+    occupations = []
+    for k in range(cutoff + 1):
+        occupations.extend(combinations_with_replacement(range(1, dim), k))
+    index = {occ: i for i, occ in enumerate(occupations)}
+    K = len(occupations)
+    rows, cols, vals = [], [], []
+    for m_idx, m in enumerate(occupations):
+        n0 = ell - len(m)
+        for i in range(dim):
+            n_i = n0 if i == 0 else m.count(i)
+            m_plus = m if i == 0 else tuple(sorted(m + (i,)))
+            n0_plus = n0 + 1 if i == 0 else n0
+            for j in {0, *m_plus}:
+                if j == 0:
+                    if n0_plus < 1:
+                        continue
+                    m_new, nj = m_plus, n0_plus
+                else:
+                    m_new = list(m_plus)
+                    m_new.remove(j)
+                    m_new, nj = tuple(m_new), m_plus.count(j)
+                if m_new not in index:
+                    continue
+                rows.append(j * K + index[m_new])
+                cols.append(i * K + m_idx)
+                vals.append(math.sqrt((n_i + 1) * nj) / (ell + 1))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim * K, dim * K))
+
+
+@pytest.mark.parametrize(
+    "lam,ell,cutoff",
+    [(0, 5, 3), (2, 3, 1), (2, 3, 2), (2, 2, 2), (2, 4, 4), (4, 8, 2), (4, 3, 3)],
+)
+def test_creation_map_matches_loop_projector(lam, ell, cutoff):
+    dim = 1 << (lam + 1)
+    B = emulate._creation_map(dim, ell, cutoff)
+    assert np.all(np.diff(B.indptr) == 1)  # one nonzero per column
+    got = sp.csr_matrix(B.T @ B) / (ell + 1)
+    want = loop_projector(dim, ell, cutoff)
+    got.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-14
+
+
+def test_mirror_maps_vacuum_mode_to_the_axis():
+    for lam, seed in ((2, 0), (4, 1)):
+        chi = ow.oracle_axis_state(ow.sample_subset(lam, Rng(seed))).amplitudes
+        w = emulate._build_sector(3, 1, chi).mirror
+        mirror = np.eye(chi.shape[0]) - 2.0 * np.outer(w, w.conj())
+        assert np.allclose(mirror[:, 0], chi, atol=1e-14)
+        assert np.allclose(mirror @ mirror.conj().T, np.eye(chi.shape[0]), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The engine cache
+
+
+def test_engine_cache_evicts_least_recently_used_within_budget(monkeypatch):
+    # Each lam=2, q=1 engine stores one 8 x 8 creation map: 64 nonzeros.
+    monkeypatch.setattr(emulate, "_ENGINE_CACHE", emulate.LruCache(128, emulate._engine_nonzeros))
+    envs = [OracleEnv([ow.sample_subset(2, Rng(seed))]) for seed in range(40)]
+    envs = list({env.spec(2).members: env for env in envs}.values())[:3]
+    assert len(envs) == 3
+
+    def engine(env):
+        return emulate._cached_engine(env, 3, {2: 3}, {2: 1})
+
+    a, b = engine(envs[0]), engine(envs[1])
+    assert engine(envs[0]) is a  # a hit, and now the most recent
+    engine(envs[2])
+    cache = emulate._ENGINE_CACHE
+    assert len(cache._entries) == 2 and cache.total == 128
+    assert engine(envs[0]) is a
+    assert engine(envs[1]) is not b  # evicted, so rebuilt
+
+
+def test_lru_cache_stays_consistent_under_threads():
+    cache = emulate.LruCache(50, weight=lambda value: value)
+    errors = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(3000):
+                key = int(rng.integers(40))
+                if cache.get(key) is None:
+                    cache.put(key, int(rng.integers(1, 8)))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert cache.total == sum(cache._entries.values()) <= 50
 
 
 # ---------------------------------------------------------------------------
