@@ -22,7 +22,10 @@ arXiv:1308.6595), and a query applies ``I - 2P`` as two products with the
 sparse ``B``, never forming ``P``.  Mode 0 of the copies is |1>|S->; the
 query block is taken into that basis and back by the Householder mirror
 ``I - 2|w><w|``, w = (|0> - |1>|S->)/sqrt(2), which costs O(N) per
-amplitude vector where a dense basis change costs O(N^2).
+amplitude vector where a dense basis change costs O(N^2).  Only the
+mirror depends on the oracle.  ``B`` depends on the shape (N, ell,
+cutoff) alone, so engines of one shape share it through a bounded cache,
+and an engine is built where it is used.
 
 Emulated verifiers (``EmulatedAcceptProcedure``) evaluate only the
 oracle's light cone in the compressed basis: the qubits linked to an
@@ -278,7 +281,10 @@ def _creation_map(dim: int, ell: int, cutoff: int) -> sp.csc_matrix:
 
 def _build_sector(ell: int, cutoff: int, chi: np.ndarray) -> _Sector:
     dim = chi.shape[0]
-    creation = _creation_map(dim, ell, cutoff)
+    creation = _CREATION_MAPS.get((dim, ell, cutoff))
+    if creation is None:
+        creation = _creation_map(dim, ell, cutoff)
+        _CREATION_MAPS.put((dim, ell, cutoff), creation)
     # chi = |1>|S-> has chi[0] = 0, so w = (|0> - chi)/sqrt(2) is a unit
     # vector and I - 2|w><w| swaps |0> and chi.  Any unitary that maps |0>
     # to chi serves: the sector is invariant under unitaries that fix
@@ -294,10 +300,6 @@ def _apply_mirror(w: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return flat - 2.0 * w[:, None] * overlap[:, None, :]
 
 
-_MAIN_ACTION_CACHE: dict = {}
-_MISSING = object()
-
-
 def _main_axis_action(
     matrix: np.ndarray, targets: tuple[int, ...], n: int
 ) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -305,14 +307,13 @@ def _main_axis_action(
 
     Returns (source indices, per-index phases or None) over the 2^n main
     axis when the matrix moves each basis state to a single basis state;
-    None for genuinely dense matrices.  Cached per (matrix, targets, n).
+    None for genuinely dense matrices.  Cached per (matrix, targets, n),
+    in a 1-tuple so that a cached None is a hit.
     """
     key = (matrix.tobytes(), targets, n)
-    # One lookup: a clear() from another thread between a membership test
-    # and a read would raise KeyError.  None is a valid cached result.
-    cached = _MAIN_ACTION_CACHE.get(key, _MISSING)
-    if cached is not _MISSING:
-        return cached
+    cached = _MAIN_ACTION_CACHE.get(key)
+    if cached is not None:
+        return cached[0]
     result = None
     dim = matrix.shape[0]
     k = len(targets)
@@ -339,9 +340,7 @@ def _main_axis_action(
             if np.allclose(phases, 1.0, atol=1e-14):
                 phases = None
             result = (src, phases)
-    if len(_MAIN_ACTION_CACHE) > 4096:
-        _MAIN_ACTION_CACHE.clear()
-    _MAIN_ACTION_CACHE[key] = result
+    _MAIN_ACTION_CACHE.put(key, (result,))
     return result
 
 
@@ -392,17 +391,25 @@ class EmulationEngine:
         self.levels = tuple(sorted(ell_per_lambda))
         # Checked before any sector is built: a level's sector holds every
         # occupation of the N-1 excited modes with at most `cutoff`
-        # excitations, C(N-1+cutoff, cutoff) of them (N = 2^(lam+1)), and
-        # each needs ell - cutoff >= 0 copies left in mode 0.
-        entries = 1 << num_main_qubits
+        # excitations, C(N-1+cutoff, cutoff) = K of them (N = 2^(lam+1)),
+        # and each needs ell - cutoff >= 0 copies left in mode 0.  Building
+        # a creation map takes int64 temporaries of N*K*(cutoff+1) entries.
+        entries, temporaries = 1 << num_main_qubits, 0
         for lam in self.levels:
             ell, cutoff = int(ell_per_lambda[lam]), int(cutoff_per_lambda[lam])
             if ell < cutoff:
                 raise ValueError(f"copy count {ell} below excitation cutoff {cutoff}")
-            entries *= math.comb((1 << (lam + 1)) - 1 + cutoff, cutoff)
+            dim = 1 << (lam + 1)
+            size = math.comb(dim - 1 + cutoff, cutoff)
+            entries *= size
+            temporaries = max(temporaries, dim * size * (cutoff + 1))
         if entries > POLICY.max_engine_entries:
             raise CapacityError(
                 f"compressed state of {entries} entries exceeds the configured cap"
+            )
+        if temporaries > POLICY.max_engine_entries:
+            raise CapacityError(
+                f"building a sector takes {temporaries} entries, over the configured cap"
             )
         self.sectors: dict[int, _Sector] = {}
         for lam in self.levels:
@@ -552,7 +559,7 @@ def emulation_error(
     plain = ow.evolve(input_state, prefix, env, count=False)
     # Rewritten path.
     if counts:
-        engine = _cached_engine(env, circuit.num_qubits, plan.ell_per_lambda, counts)
+        engine = EmulationEngine(env, circuit.num_qubits, plan.ell_per_lambda, counts)
         emulated = engine.run(prefix, input_state)
         ip = emulated.inner_with_plain(plain)
     else:
@@ -677,7 +684,8 @@ class EmulatedAcceptProcedure:
     compressed engine; the other qubits evolve as a plain state vector.
     The state is a product across that split, so the accept probability
     is the accept qubit's factor's probability times the squared norm of
-    the other factor.  The split is computed once per procedure."""
+    the other factor.  The split and the cone's engine are built once per
+    procedure."""
 
     circuit: ow.OracleAidedCircuit
     input_qubits: tuple[int, ...]
@@ -702,6 +710,11 @@ class EmulatedAcceptProcedure:
         self._accept_in_cone = self.accept_qubit in cone
         side = cone if self._accept_in_cone else rest
         self._accept_position = side.index(self.accept_qubit)
+        self._engine = None
+        if cone:
+            counts = dict(self.circuit.declared_query_count)
+            ells = {lam: self.ell_per_lambda[lam] for lam in counts}
+            self._engine = EmulationEngine(self.env, len(cone), ells, counts)
 
     @property
     def arity(self) -> int:
@@ -724,12 +737,9 @@ class EmulatedAcceptProcedure:
                 challenge, self._rest_width, self._input_positions
             )
         plain = ow.evolve(plain, self._rest_gates, self.env, count=False)
-        if not self._cone_width:
+        if self._engine is None:
             return float(qcore.born_probabilities(plain, [self._accept_position])[1])
-        counts = dict(self.circuit.declared_query_count)
-        ells = {lam: self.ell_per_lambda[lam] for lam in counts}
-        engine = _cached_engine(self.env, self._cone_width, ells, counts)
-        out = engine.run(self._cone_gates, cone_in)
+        out = self._engine.run(self._cone_gates, cone_in)
         if self._accept_in_cone:
             plain_norm = float(np.linalg.norm(plain.amplitudes))
             return out.accept_probability(self._accept_position) * plain_norm**2
@@ -763,9 +773,8 @@ class LruCache:
 
     def put(self, key: Hashable, value: object) -> None:
         with self._lock:
-            old = self._entries.pop(key, _MISSING)
-            if old is not _MISSING:
-                self.total -= self.weight(old)
+            if key in self._entries:
+                self.total -= self.weight(self._entries.pop(key))
             self._entries[key] = value
             self.total += self.weight(value)
             while self.total > self.budget and len(self._entries) > 1:
@@ -773,34 +782,14 @@ class LruCache:
                 self.total -= self.weight(evicted)
 
 
-#: Nonzeros of stored creation maps (about 12 bytes each) that the engine
-#: cache may hold.  Engines of a fresh subset are never reused, so without
-#: a bound a long corpus run keeps every one it built.
-_ENGINE_CACHE_NONZEROS = 1 << 24
+#: Nonzeros of stored creation maps (about 12 bytes each) that
+#: ``_CREATION_MAPS`` may hold, about 200 MB.
+_CREATION_MAP_NONZEROS = 1 << 24
+
+#: Creation maps by (dim, ell, cutoff): they depend on the shape only, so
+#: engines on different oracles share them.
+_CREATION_MAPS = LruCache(_CREATION_MAP_NONZEROS, lambda creation: creation.nnz)
 
 
-def _engine_nonzeros(engine: EmulationEngine) -> int:
-    return sum(sector.creation.nnz for sector in engine.sectors.values())
-
-
-_ENGINE_CACHE = LruCache(_ENGINE_CACHE_NONZEROS, _engine_nonzeros)
-
-
-def _cached_engine(
-    env: ow.OracleEnv,
-    num_main: int,
-    ells: Mapping[int, int],
-    counts: Mapping[int, int],
-) -> EmulationEngine:
-    """Engines keyed by oracle content and sizes; sectors are immutable and
-    independent of the env object once built."""
-    token = tuple(
-        (lam, env.spec(lam).members, int(ells[lam]), int(counts[lam]))
-        for lam in sorted(ells)
-    )
-    key = (num_main, token)
-    engine = _ENGINE_CACHE.get(key)
-    if engine is None:
-        engine = EmulationEngine(env, num_main, ells, counts)
-        _ENGINE_CACHE.put(key, engine)
-    return engine
+#: Phased-permutation realizations of gates (see ``_main_axis_action``).
+_MAIN_ACTION_CACHE = LruCache(4096)

@@ -47,7 +47,6 @@ __all__ = [
     "gentle_search_required_copies",
     "shadow_tomography",
     "shadow_batch_size",
-    "shadow_required_copies",
 ]
 
 
@@ -290,10 +289,6 @@ class EstimateTable:
 
 def shadow_batch_size(num_keys: int, epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 * num_keys / delta) / (2.0 * epsilon**2))
-
-
-def shadow_required_copies(num_keys: int, epsilon: float, delta: float) -> int:
-    return num_keys * shadow_batch_size(num_keys, epsilon, delta)
 
 
 def shadow_tomography(

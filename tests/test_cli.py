@@ -167,6 +167,15 @@ def test_threads_do_not_change_results():
     _, b = run("project-reflect", threaded)
     assert a.trials == b.trials
     assert a.aggregate == b.aggregate
+    # Commands whose trials share the engine's caches across threads.
+    for command, kv in (
+        ("emulate-bound", dict(seed=22, lam=4, q=2, ell=7, trials=6)),
+        ("owsg-attack", dict(seed=23, candidate="oracle-echo", exact="true", trials=4)),
+    ):
+        _, a = run(command, make_cfg(command, **kv, threads=1))
+        _, b = run(command, make_cfg(command, **kv, threads=2))
+        assert a.trials == b.trials, command
+        assert a.aggregate == b.aggregate, command
 
 
 def test_every_command_runs_small():

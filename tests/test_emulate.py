@@ -336,6 +336,29 @@ def test_engine_capacity_checked_before_sectors(monkeypatch):
         EmulationEngine(env, 10, {8: 31}, {8: 2})
 
 
+def test_engine_capacity_counts_the_builders_temporaries(monkeypatch):
+    # lam=12, q=1 on 13 qubits: 2^13 * K = 2^26 entries sit at the cap, but
+    # building B takes int64 temporaries of N * K * 2 = 2^27 entries.
+    def fail(*args, **kwargs):
+        raise AssertionError("creation map built before the capacity check")
+
+    monkeypatch.setattr(emulate, "_creation_map", fail)
+    env = OracleEnv([ow.sample_subset(12, Rng(0))])
+    with pytest.raises(CapacityError):
+        EmulationEngine(env, 13, {12: 1}, {12: 1})
+
+
+def test_engine_capacity_admits_the_largest_built_configs(monkeypatch):
+    # lam=10, q=1 on 11 qubits and lam=6, q=2 on 8 qubits stay buildable;
+    # only the checks run here, not the builds.
+    monkeypatch.setattr(
+        emulate, "_build_sector", lambda ell, cutoff, chi: emulate._Sector(ell, 1, chi, None)
+    )
+    for lam, width, q in ((10, 11, 1), (6, 8, 2)):
+        env = OracleEnv([ow.sample_subset(lam, Rng(0))])
+        EmulationEngine(env, width, {lam: 31}, {lam: q})
+
+
 def test_engine_copy_count_checked_before_sectors(monkeypatch):
     # ell = 1 copy cannot hold q = 2 excitations; the check must come
     # before any sector is built.
@@ -412,26 +435,48 @@ def test_mirror_maps_vacuum_mode_to_the_axis():
 
 
 # ---------------------------------------------------------------------------
-# The engine cache
+# The shared caches
 
 
-def test_engine_cache_evicts_least_recently_used_within_budget(monkeypatch):
-    # Each lam=2, q=1 engine stores one 8 x 8 creation map: 64 nonzeros.
-    monkeypatch.setattr(emulate, "_ENGINE_CACHE", emulate.LruCache(128, emulate._engine_nonzeros))
+def test_creation_map_cache_evicts_least_recently_used_within_budget(monkeypatch):
     envs = [OracleEnv([ow.sample_subset(2, Rng(seed))]) for seed in range(40)]
-    envs = list({env.spec(2).members: env for env in envs}.values())[:3]
-    assert len(envs) == 3
+    envs = list({env.spec(2).members: env for env in envs}.values())[:2]
+    assert len(envs) == 2
 
-    def engine(env):
-        return emulate._cached_engine(env, 3, {2: 3}, {2: 1})
+    def sector(env, ell):
+        return EmulationEngine(env, 3, {2: ell}, {2: 1}).sectors[2]
 
-    a, b = engine(envs[0]), engine(envs[1])
-    assert engine(envs[0]) is a  # a hit, and now the most recent
-    engine(envs[2])
-    cache = emulate._ENGINE_CACHE
+    # Two subsets of one shape share B; only the mirror depends on the oracle.
+    first, second = sector(envs[0], 3), sector(envs[1], 3)
+    assert first.creation is second.creation
+    assert not np.allclose(first.mirror, second.mirror)
+    # Each lam=2, q=1 sector's creation map is 8 x 8 with 64 nonzeros.
+    cache = emulate.LruCache(128, emulate._CREATION_MAPS.weight)
+    monkeypatch.setattr(emulate, "_CREATION_MAPS", cache)
+    a, b = sector(envs[0], 3).creation, sector(envs[0], 4).creation
+    assert sector(envs[1], 3).creation is a  # a hit, and now the most recent
+    sector(envs[0], 5)
     assert len(cache._entries) == 2 and cache.total == 128
-    assert engine(envs[0]) is a
-    assert engine(envs[1]) is not b  # evicted, so rebuilt
+    assert sector(envs[0], 3).creation is a
+    assert sector(envs[0], 4).creation is not b  # evicted, so rebuilt
+
+
+def test_main_action_cache_evicts_least_recently_used():
+    def action(k):
+        # Distinct diagonal gates, so every k is its own cache key.
+        return emulate._main_axis_action(np.diag([1.0, np.exp(1j * k / 8192)]), (0,), 1)
+
+    old, kept = action(0), action(1)
+    for k in range(2, 3000):
+        action(k)
+    assert action(1) is kept  # a hit, and now the most recent
+    for k in range(3000, 4200):
+        action(k)
+    assert action(1) is kept
+    assert action(0) is not old  # least recently used, so evicted
+    dense = ow.named_gate_matrix("H", 1)
+    assert emulate._main_axis_action(dense, (0,), 1) is None
+    assert emulate._MAIN_ACTION_CACHE.get((dense.tobytes(), (0,), 1)) == (None,)
 
 
 def test_lru_cache_stays_consistent_under_threads():
