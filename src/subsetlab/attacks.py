@@ -29,8 +29,8 @@ from . import emulate
 from . import oracleworld as ow
 from . import qcore
 from . import tomography
-from .qcore import Rng, StateVector
-from .schemes import MoneyScheme, OwsgCandidate, swap_test_owsg
+from .qcore import POLICY, Rng, StateVector
+from .schemes import MoneyScheme, OwsgCandidate
 
 __all__ = [
     "ResourceState",
@@ -47,7 +47,6 @@ __all__ = [
     "SchemeHandle",
     "forgery_game",
     "ForgeryGameResult",
-    "swap_test_owsg",
 ]
 
 
@@ -62,9 +61,6 @@ class ResourceState:
     copies: dict[int, int]
     attempts: dict[int, int]
     oracle_queries: dict[int, int]
-
-    def total_copies(self) -> int:
-        return sum(self.copies.values())
 
 
 def prepare_resources(
@@ -93,7 +89,7 @@ def prepare_resources(
                 raise ResourceFailure(
                     f"copy generation failed at lambda={lam} after {kappa} attempts"
                 )
-            if abs(qcore.overlap(ideal, result.state)) ** 2 < 1.0 - 1e-9:
+            if abs(qcore.overlap(ideal, result.state)) ** 2 < 1.0 - POLICY.prob_atol:
                 raise AssertionError("generated copy is not exact")
         copies[lam] = multiplicity[lam]
         attempts[lam] = total_attempts
@@ -345,7 +341,7 @@ def money_forge(
     if m < 1:
         raise ValueError("need at least one challenge note")
     for c in challenges[1:]:
-        if abs(qcore.overlap(challenges[0], c)) ** 2 < 1.0 - 1e-9:
+        if abs(qcore.overlap(challenges[0], c)) ** 2 < 1.0 - POLICY.prob_atol:
             raise ValueError("challenge copies must be identical states")
     mu, eta = scheme.mu, params.eta
     ell = params.copies_per_query

@@ -28,7 +28,7 @@ import numpy as np
 from . import attacks, emulate, qefid, schemes, tomography
 from . import oracleworld as ow
 from . import qcore
-from .qcore import CapacityError, Rng
+from .qcore import POLICY, CapacityError, Rng
 
 __all__ = ["ExperimentConfig", "run", "main", "COMMANDS"]
 
@@ -89,10 +89,6 @@ class ExperimentConfig:
         return raw
 
     @classmethod
-    def from_text(cls, text: str, command: str) -> "ExperimentConfig":
-        return cls.from_mapping(cls.parse_kv(text), command)
-
-    @classmethod
     def from_mapping(cls, raw: dict[str, str], command: str) -> "ExperimentConfig":
         fields = {f.name: f.type for f in cls.__dataclass_fields__.values()}
         kwargs: dict[str, object] = {"experiment": command}
@@ -127,6 +123,14 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.m < 1:
             raise ValueError("m must be positive")
+        if self.t < 1:
+            raise ValueError("t must be positive")
+        if self.count < 1:
+            raise ValueError("count must be positive")
+        if self.epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
+        if self.delta <= 0.0:
+            raise ValueError("delta must be positive")
         if self.mode not in ("exact", "sampled"):
             raise ValueError("mode must be exact or sampled")
         if not 0.0 < self.eta < 0.1:
@@ -193,7 +197,9 @@ def _cmd_qefid_sd(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
     report.bound(f"1 - 2^(-lam/2) = 1 - 2^(-{cfg.lam}/2) = {closed}", closed)
     report.aggregate = {"sd": sd, "closed_form": closed}
     report.verdict(
-        "sd-matches-closed-form", abs(sd - closed) <= 1e-12, f"|{sd} - {closed}|"
+        "sd-matches-closed-form",
+        abs(sd - closed) <= POLICY.closed_form_atol,
+        f"|{sd} - {closed}|",
     )
 
 
@@ -211,7 +217,7 @@ def _cmd_qefid_yao(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
     }
     report.verdict(
         "positive-gap-equals-gap-squared",
-        abs(positive - gap**2) <= 1e-9,
+        abs(positive - gap**2) <= POLICY.prob_atol,
         f"|{positive} - {gap**2}|",
     )
 
@@ -226,7 +232,7 @@ def _cmd_statistical_lemma(cfg: ExperimentConfig, rng: Rng, report: Report) -> N
     )
     report.aggregate = {"td": res.td, "bound": bound, "mode": res.mode}
     if cfg.mode == "exact":
-        ok = res.td <= min(1.0, bound) + 1e-9
+        ok = res.td <= min(1.0, bound) + POLICY.prob_atol
         report.verdict("td-below-bound", ok, f"{res.td} <= min(1, {bound})")
     else:
         ok = res.td <= bound + cfg.slack
@@ -249,9 +255,9 @@ def _cmd_emulate_bound(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
         rec = {"trial": i, "td": res.exact_td, "bound": res.bound}
         if cfg.q == 1:
             first = next(g for g in circ.gates if g.kind == "oracle")
-            ov = emulate.effective_axis_overlap(
+            ov = qcore.axis_weight(
                 emulate.pre_query_state(circ, env),
-                ow.oracle_axis_state(spec),
+                ow.oracle_axis_state(spec).amplitudes,
                 first.targets,
             )
             predicted = emulate.single_query_inner_product(cfg.ell, ov)
@@ -262,7 +268,9 @@ def _cmd_emulate_bound(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
     report.trials = run_trials(one, cfg.trials, rng, cfg.threads)
     worst = max(t["td"] for t in report.trials)
     report.aggregate = {"worst_td": worst, "trials": cfg.trials}
-    report.verdict("td-below-bound", worst <= bound + 1e-9, f"worst {worst} <= {bound}")
+    report.verdict(
+        "td-below-bound", worst <= bound + POLICY.prob_atol, f"worst {worst} <= {bound}"
+    )
     if cfg.q == 1:
         worst_ip = max(
             abs(t["ip"] - t["ip_closed_form"]) for t in report.trials
@@ -297,7 +305,9 @@ def _cmd_project_reflect(cfg: ExperimentConfig, rng: Rng, report: Report) -> Non
     report.bound(f"|freq - 1/2| <= 3 sigma = {sigma}", sigma)
     report.verdict("success-rate-half", abs(freq - 0.5) <= sigma, f"{freq} vs 0.5")
     report.verdict(
-        "post-success-fidelity", worst_fid >= 1.0 - 1e-9, f"worst {worst_fid}"
+        "post-success-fidelity",
+        worst_fid >= 1.0 - POLICY.prob_atol,
+        f"worst {worst_fid}",
     )
 
 

@@ -71,7 +71,6 @@ __all__ = [
     "EmulatedAcceptProcedure",
     "random_oracle_circuit",
     "pre_query_state",
-    "effective_axis_overlap",
     "LruCache",
 ]
 
@@ -179,7 +178,7 @@ def build_emulation(
     the error bound's derivation assumes at least 4.
     """
     if not ow.is_deferred(circuit):
-        raise ValueError("circuit must be pre-compiled to deferred-measurement form")
+        raise ValueError("circuit must be in deferred-measurement form")
     levels = circuit.query_levels
     if isinstance(ell_per_lambda, int):
         ells = {lam: int(ell_per_lambda) for lam in levels}
@@ -565,7 +564,7 @@ def emulation_error(
     else:
         ip = 1.0 + 0.0j
     td = math.sqrt(max(0.0, 1.0 - abs(ip) ** 2))
-    if td > bound + 1e-9:
+    if td > bound + POLICY.prob_atol:
         raise AssertionError(f"exact TD {td} exceeds the bound {bound}")
     return EmulationErrorResult(td, bound, ip, plan.ell_per_lambda, counts)
 
@@ -611,15 +610,6 @@ def pre_query_state(
     if first is None:
         raise ValueError("circuit has no oracle gate")
     return ow.evolve(input_state, prefix[:first], env, count=False)
-
-
-def effective_axis_overlap(
-    state: StateVector, axis: StateVector, targets: Sequence[int]
-) -> float:
-    """Weight of the axis component on the target block:
-    || (<axis| (x) I_rest) |state> ||^2.  For a product state this is the
-    plain squared overlap of the block with the axis."""
-    return qcore.axis_weight(state, axis.amplitudes, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +709,6 @@ class EmulatedAcceptProcedure:
     @property
     def arity(self) -> int:
         return len(self.input_qubits)
-
-    def copies_per_evaluation(self) -> dict[int, int]:
-        return dict(self.ell_per_lambda)
 
     def accept_probability(self, challenge: StateVector) -> float:
         if challenge.num_qubits != self.arity:

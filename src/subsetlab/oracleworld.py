@@ -47,7 +47,6 @@ __all__ = [
     "oracle_matrix",
     "evolve",
     "run_circuit",
-    "defer_measurements",
     "is_deferred",
     "parse_circuit",
     "format_circuit",
@@ -83,9 +82,6 @@ class SubsetSpec:
 
     def member_strings(self) -> tuple[str, ...]:
         return tuple(format(m, f"0{self.lam}b") for m in self.members)
-
-    def contains(self, x: int) -> bool:
-        return x in set(self.members)
 
 
 class OracleEnv:
@@ -475,52 +471,6 @@ def run_circuit(
         rho = qcore.partial_trace(qcore.promote(state), keep)
         return RunResult(rho, record)
     return RunResult(state, record)
-
-
-def defer_measurements(circuit: OracleAidedCircuit) -> OracleAidedCircuit:
-    """Compile to deferred-measurement form.
-
-    Mid-circuit measurements move to the end; classically-controlled gates
-    become controlled unitaries on the measured qubits (X-conjugated where
-    the condition wants a 0 bit).  A measured qubit may only be used as a
-    classical control afterwards; anything else is rejected.
-    """
-    measured: dict[str, tuple[int, ...]] = {}
-    frozen: set[int] = set()
-    new_gates: list[Gate] = []
-    trailing: list[Gate] = []
-    for g in circuit.gates:
-        if g.kind == "measure":
-            measured[g.tag] = g.targets
-            frozen.update(g.targets)
-            trailing.append(g)
-            continue
-        if g.kind == "discard":
-            trailing.append(g)
-            continue
-        if g.condition is None:
-            if frozen & set(g.targets):
-                raise ValueError(
-                    "gate touches an already-measured qubit; cannot defer"
-                )
-            new_gates.append(g)
-            continue
-        tag, want = g.condition
-        controls = measured[tag]
-        if frozen & set(g.targets):
-            raise ValueError("conditioned gate targets a measured qubit")
-        if g.kind != "unitary":
-            raise ValueError("only unitary gates may be classically controlled")
-        dim_c = 1 << len(controls)
-        dim_t = g.matrix.shape[0]
-        if not 0 <= want < dim_c:
-            raise ValueError(f"condition value {want} out of range")
-        ctrl = np.eye(dim_c * dim_t, dtype=np.complex128)
-        base = want * dim_t
-        ctrl[base : base + dim_t, base : base + dim_t] = g.matrix
-        new_gates.append(Gate("unitary", controls + g.targets, matrix=ctrl))
-    new_gates.extend(trailing)
-    return OracleAidedCircuit(circuit.num_qubits, tuple(new_gates))
 
 
 # ---------------------------------------------------------------------------

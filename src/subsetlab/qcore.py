@@ -1,12 +1,12 @@
 """Exact linear-algebra substrate: pure states, mixed states, unitaries,
-measurement, and distance metrics.
+measurement, reductions, overlap and fidelity.
 
 Conventions
 -----------
 Qubit 0 is the *most significant* bit of the amplitude index: the basis
 state ``|b_0 b_1 ... b_{n-1}>`` sits at index ``sum(b_j << (n-1-j))``.
-All metric computations are exact (eigendecomposition based); sampling
-happens only in experiment harnesses that pass an explicit :class:`Rng`.
+Fidelities are exact (eigendecomposition based); sampling happens only
+in experiment harnesses that pass an explicit :class:`Rng`.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -14,10 +14,9 @@ threads.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,10 +40,7 @@ __all__ = [
     "embed_state",
     "extract_pure",
     "promote",
-    "mix",
     "partial_trace",
-    "trace_distance",
-    "statistical_distance",
     "fidelity",
     "overlap",
 ]
@@ -52,12 +48,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NumericalPolicy:
-    """Single global record of the state invariants' tolerances and the
-    capacity bounds.
+    """The one record of the package's tolerances and capacity bounds.
 
-    The validity checks on states, probability tables and reductions read
-    these values.  Verdict thresholds in experiments and tests are stated
-    where they are used.
+    Its fields fall into four groups:
+
+    * state invariants (``norm_atol``, ``herm_atol``, ``trace_atol``,
+      ``eig_floor``, ``pure_metric_atol``), read by the state constructors,
+      unitary application and reductions;
+    * ``prob_atol``, the slack on an exact probability or on a bound it
+      must respect: vanishing measurement branches, accept probabilities
+      inside [0, 1], scheme correctness at registration, exact copies and
+      identical challenge notes, the emulation bound, and the CLI's exact
+      verdicts;
+    * ``closed_form_atol``, an enumerated value against its closed form;
+    * capacity bounds (``max_state_qubits``, ``max_density_qubits``,
+      ``max_block_factorial``, ``max_engine_entries``).
+
+    Five literals stay inline.  Three are cutoffs inside one numerical
+    kernel, not tolerances on a result:
+
+    * ``emulate._main_axis_action``: 1e-14 for a structural zero and for
+      a unit phase, 1e-12 for a unit modulus;
+    * ``qefid._sampled_td_gram``: 1e-12, the relative rank cut of its
+      Gram matrices;
+    * ``cli.three_sigma``: 1e-12, the variance floor.
+
+    No field matches the other two in role:
+
+    * ``cli._cmd_emulate_bound``: 1e-8, the q=1 closed-form verdict on
+      inner products that carry the compressed engine's rounding;
+    * ``qcore.StateVector.__post_init__``: 1e-7, the norm error beyond
+      which a state is rejected instead of renormalized.
+
+    A test reads this list and fails on any other such literal.
     """
 
     norm_atol: float = 1e-10
@@ -444,23 +467,6 @@ def promote(state: StateVector) -> DensityMatrix:
     return DensityMatrix(state.num_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
-def mix(ensemble: Iterable[tuple[float, DensityMatrix]]) -> DensityMatrix:
-    """Weighted sum of density matrices; weights must sum to 1."""
-    ensemble = list(ensemble)
-    if not ensemble:
-        raise ValueError("empty ensemble")
-    weights = np.array([w for w, _ in ensemble], dtype=float)
-    if abs(weights.sum() - 1.0) > POLICY.prob_atol:
-        raise ValueError(f"ensemble weights sum to {weights.sum()}, not 1")
-    n = ensemble[0][1].num_qubits
-    acc = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    for w, rho in ensemble:
-        if rho.num_qubits != n:
-            raise ValueError("mixed ensemble of unequal qubit counts")
-        acc += w * rho.entries
-    return DensityMatrix(n, acc)
-
-
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every qubit not in `keep`; kept qubits keep their order."""
     keep = tuple(int(q) for q in keep)
@@ -489,37 +495,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Metrics
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) sum |eigenvalues(a - b)|, exact, in [0, 1]."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("dimension mismatch")
-    diff = a.entries - b.entries
-    eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(np.clip(0.5 * np.abs(eigs).sum(), 0.0, 1.0))
-
-
-def statistical_distance(
-    p: Mapping[str, float] | np.ndarray, q: Mapping[str, float] | np.ndarray
-) -> float:
-    """Half the L1 distance between two probability tables over bitstrings."""
-
-    def as_table(t: Mapping[str, float] | np.ndarray) -> dict[str, float]:
-        if isinstance(t, Mapping):
-            return {str(k): float(v) for k, v in t.items()}
-        arr = np.asarray(t, dtype=float)
-        width = max(1, int(math.ceil(math.log2(max(arr.shape[0], 2)))))
-        return {format(i, f"0{width}b"): float(v) for i, v in enumerate(arr)}
-
-    tp, tq = as_table(p), as_table(q)
-    for name, table in (("p", tp), ("q", tq)):
-        total = sum(table.values())
-        if abs(total - 1.0) > POLICY.prob_atol:
-            raise ValueError(f"table {name} sums to {total}, not 1")
-    keys = set(tp) | set(tq)
-    return 0.5 * sum(abs(tp.get(k, 0.0) - tq.get(k, 0.0)) for k in keys)
+# Overlap and fidelity
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:

@@ -5,10 +5,11 @@ second register, yielding a uniform member of the hidden subset;
 ``sample_d1`` outputs a uniform lam-bit string.  The two are statistically
 far (exactly 1 - 2^(-lam/2)) yet hard to tell apart without the oracle.
 
-Also here: the gap-squaring transform that turns any distinguisher with
-absolute gap delta into one with *positive* gap delta^2, and the exact /
-Monte-Carlo trace-distance experiment for mixtures of subset states
-alongside the copy-aided distinguisher catalog checked against its bound.
+Also here: the exact positive gap of the gap-squaring transform, which
+turns any distinguisher with absolute gap delta into one with *positive*
+gap delta^2, and the exact / Monte-Carlo trace-distance experiment for
+mixtures of subset states alongside the copy-aided distinguisher catalog
+checked against its bound.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "d0_circuit",
     "exact_sd",
     "closed_form_sd",
-    "yao_transform",
     "exact_distinguisher_gap",
     "exact_yao_positive_gap",
     "membership_distinguisher",
@@ -146,53 +146,6 @@ def exact_distinguisher_gap(
     return a0, a1, abs(a0 - a1)
 
 
-def yao_transform(
-    a: Distinguisher,
-    sampler0: Callable[[Rng], str],
-    sampler1: Callable[[Rng], str],
-) -> Distinguisher:
-    """Square an absolute gap into a positive gap.
-
-    The returned distinguisher samples a coin c, draws a fresh sample from
-    the opposite-coin distribution, runs `a` on it and on the challenge, and
-    outputs the XOR of the coin and the two answers.  Its positive gap is
-    exactly (gap of a)^2 per oracle instance; two invocations of `a` plus
-    one sampler call are consumed.
-    """
-
-    def decide(challenge: str, rng: Rng) -> int:
-        c = rng.bit()
-        # Drawing from the opposite distribution is what makes the XOR land
-        # on +gap^2 rather than -gap^2.
-        x_prime = sampler1(rng) if c == 0 else sampler0(rng)
-        d = a.decide(x_prime, rng)
-        e = a.decide(challenge, rng)
-        return c ^ d ^ e
-
-    return Distinguisher(
-        name=f"yao({a.name})",
-        decide=decide,
-        accept_prob=None,
-        needs_oracle=a.needs_oracle,
-        copies_required=2 * a.copies_required,
-    )
-
-
-def yao_positive_gap_from_rates(a0: float, a1: float) -> float:
-    """Positive gap of the transform given only the base accept rates.
-
-    The per-challenge branch formula is affine in the challenge's accept
-    probability, so the two world averages collapse to the rates; this is
-    the (a0 - a1)^2 identity computed the long way.
-    """
-    def b_given(p_e: float) -> float:
-        pr_c0 = a1 * (1 - p_e) + (1 - a1) * p_e
-        pr_c1 = 1.0 - (a0 * (1 - p_e) + (1 - a0) * p_e)
-        return 0.5 * (pr_c0 + pr_c1)
-
-    return b_given(a0) - b_given(a1)
-
-
 def exact_yao_positive_gap(a: Distinguisher, spec: SubsetSpec) -> float:
     """Exact positive gap of the transformed distinguisher for one oracle
     instance, computed branch by branch over (coin, fresh sample, challenge).
@@ -234,9 +187,12 @@ def _s_minus_vector(lam: int, members: Sequence[int]) -> np.ndarray:
     return v / math.sqrt(2.0)
 
 
-def _all_subsets(lam: int):
-    size = 1 << (lam // 2)
-    return combinations(range(1, 1 << lam), size)
+def _kron_power(v: np.ndarray, t: int) -> np.ndarray:
+    """v (x) v (x) ... (x) v, t factors."""
+    out = v
+    for _ in range(t - 1):
+        out = np.kron(out, v)
+    return out
 
 
 @dataclass
@@ -258,13 +214,14 @@ def statistical_lemma_experiment(
 ) -> LemmaExperimentResult:
     """Trace distance between {|S->^t (x) |s>} and {|W->^t (x) |u>}.
 
-    In exact mode every subset is enumerated and the sample `s` within each
-    subset is averaged analytically; both mixtures are block-diagonal over
-    the classical register, so the distance is a sum of per-block
-    eigenvalue sums.  Sampled mode draws `count` instances per side and
-    computes the trace distance of the two empirical mixtures through the
-    Gram matrix of the sampled pure states (closed-form inner products, no
-    state vectors).
+    The sample `s` within each subset is averaged analytically; both
+    mixtures are block-diagonal over the classical register, so the
+    distance is a sum of per-block eigenvalue sums.  Exact mode runs the
+    dense sampled path with every subset once on each side.  Sampled mode
+    draws `count` instances per side and computes the trace distance of the
+    two empirical mixtures, through the Gram matrix of the sampled pure
+    states (closed-form inner products, no state vectors) when the copy
+    register is large.
     """
     bound = statistical_lemma_bound(lam, t)
     if mode == "exact":
@@ -283,32 +240,11 @@ def statistical_lemma_experiment(
 
 
 def _exact_lemma_td(lam: int, t: int) -> float:
-    dim = 1 << lam
-    size = 1 << (lam // 2)
-    copy_dim = dim**t
-    # Accumulate, per classical challenge value s, the copy-register block
-    # of each mixture.  D0 weights subsets containing s; D1 is s-independent.
-    blocks0 = np.zeros((dim, copy_dim, copy_dim))
-    avg_copy = np.zeros((copy_dim, copy_dim))
-    n_subsets = 0
-    for members in _all_subsets(lam):
-        v = _s_minus_vector(lam, members)
-        vt = v
-        for _ in range(t - 1):
-            vt = np.kron(vt, v)
-        outer = np.outer(vt, vt)
-        avg_copy += outer
-        for s in members:
-            blocks0[s] += outer / size
-        n_subsets += 1
-    blocks0 /= n_subsets
-    avg_copy /= n_subsets
-    total = 0.0
-    for s in range(dim):
-        delta = blocks0[s] - avg_copy / dim
-        eigs = np.linalg.eigvalsh(delta)
-        total += float(np.abs(eigs).sum())
-    return 0.5 * total
+    # Every subset once on each side makes the sampled mixtures the exact ones.
+    subsets = np.array(list(combinations(range(1, 1 << lam), 1 << (lam // 2))))
+    masks = np.zeros((len(subsets), 1 << lam), dtype=bool)
+    np.put_along_axis(masks, subsets, True, axis=1)
+    return _sampled_td_dense(lam, t, masks, masks)
 
 
 def _sampled_lemma_td(lam: int, t: int, count: int, rng: Rng) -> float:
@@ -345,18 +281,11 @@ def _sampled_td_dense(lam: int, t: int, masks0: np.ndarray, masks1: np.ndarray) 
     avg1 = np.zeros((copy_dim, copy_dim))
     for i in range(count):
         members = np.flatnonzero(masks0[i])
-        v = _s_minus_vector(lam, members)
-        vt = v
-        for _ in range(t - 1):
-            vt = np.kron(vt, v)
+        vt = _kron_power(_s_minus_vector(lam, members), t)
         outer = np.outer(vt, vt)
         for s in members:
             blocks0[s] += outer / size
-        members1 = np.flatnonzero(masks1[i])
-        w = _s_minus_vector(lam, members1)
-        wt = w
-        for _ in range(t - 1):
-            wt = np.kron(wt, w)
+        wt = _kron_power(_s_minus_vector(lam, np.flatnonzero(masks1[i])), t)
         avg1 += np.outer(wt, wt)
     blocks0 /= count
     avg1 /= count

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 from . import oracleworld as ow
 from . import qcore, tomography
-from .qcore import Rng, StateVector
+from .qcore import POLICY, Rng, StateVector
 from .oracleworld import Gate, OracleAidedCircuit, OracleEnv
 
 __all__ = [
@@ -163,7 +163,7 @@ class OwsgCandidate:
         for k in self.keys:
             p = self.exact_verify_prob(k, self.generate_state(k, env, count=False), env)
             worst = min(worst, p)
-        if worst < 1.0 - self.correctness_slack - 1e-9:
+        if worst < 1.0 - self.correctness_slack - POLICY.prob_atol:
             raise AssertionError(
                 f"{self.name}: correctness {worst} below declared 1 - {self.correctness_slack}"
             )
@@ -323,7 +323,7 @@ class MoneyScheme:
         for k in self.keys:
             total += self.exact_verify_prob(k, self.mint_state(k, env, count=False), env)
         avg = total / len(self.keys)
-        if avg < self.mu - 1e-9:
+        if avg < self.mu - POLICY.prob_atol:
             raise AssertionError(f"{self.name}: correctness {avg} below mu={self.mu}")
         return avg
 

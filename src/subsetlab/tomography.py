@@ -31,7 +31,7 @@ import numpy as np
 
 from . import oracleworld as ow
 from . import qcore
-from .qcore import DensityMatrix, Rng, StateVector
+from .qcore import POLICY, DensityMatrix, Rng, StateVector
 
 __all__ = [
     "AcceptProcedure",
@@ -154,7 +154,8 @@ def exact_accept_prob(
 ) -> float:
     """Exact Born accept probability of one family element on `state`."""
     p = family.element(key).accept_probability(state)
-    if not -1e-9 <= p <= 1 + 1e-9:
+    tol = POLICY.prob_atol
+    if not -tol <= p <= 1 + tol:
         raise AssertionError(f"accept probability {p} outside [0,1]")
     return float(min(max(p, 0.0), 1.0))
 

@@ -112,8 +112,10 @@ def test_criterion_05_emulation_bound():
                     assert res.exact_td <= 2 * q / math.sqrt(ell + 1) + 1e-9
                     if q == 1:
                         first = next(g for g in circ.gates if g.kind == "oracle")
-                        ov = emulate.effective_axis_overlap(
-                            emulate.pre_query_state(circ, env), axis, first.targets
+                        ov = qcore.axis_weight(
+                            emulate.pre_query_state(circ, env),
+                            axis.amplitudes,
+                            first.targets,
                         )
                         predicted = emulate.single_query_inner_product(ell, ov)
                         gap = abs(res.inner_product.real - predicted)

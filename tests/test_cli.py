@@ -26,7 +26,9 @@ def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ValueError):
         make_cfg("qefid-sd", seed=1, mode="fuzzy")
     with pytest.raises(ValueError):
-        ExperimentConfig.from_text("seed=1\nseed=2\n", "qefid-sd")
+        ExperimentConfig.from_mapping(
+            ExperimentConfig.parse_kv("seed=1\nseed=2\n"), "qefid-sd"
+        )
 
 
 def test_qefid_sd_report():
@@ -139,6 +141,26 @@ def test_money_forge_rejects_m_zero(tmp_path):
     assert not (tmp_path / "money-forge-report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command,config,key",
+    [
+        ("gentle-search-bench", "epsilon=0", "epsilon"),
+        ("shadow-bench", "delta=0", "delta"),
+        ("money-forge", "epsilon=0", "epsilon"),
+        ("owsg-attack", "delta=0", "delta"),
+        ("statistical-lemma", "t=0", "t"),
+        ("statistical-lemma", "mode=sampled\ncount=0", "count"),
+    ],
+)
+def test_nonpositive_parameters_exit_2(tmp_path, capsys, command, config, key):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"seed=1\ntrials=1\n{config}\n")
+    code = cli.main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"{key} must be positive" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}-report.json").exists()
+
+
 def test_config_file_with_seed_override(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("seed=1\nlam=4\n")
@@ -167,10 +189,15 @@ def test_threads_do_not_change_results():
     _, b = run("project-reflect", threaded)
     assert a.trials == b.trials
     assert a.aggregate == b.aggregate
-    # Commands whose trials share the engine's caches across threads.
+    # The other commands that run their trials on threads (emulate-bound's
+    # share the engine's caches, the benches' a keyed family's elements),
+    # and owsg-attack, which runs its trials in order.
     for command, kv in (
         ("emulate-bound", dict(seed=22, lam=4, q=2, ell=7, trials=6)),
         ("owsg-attack", dict(seed=23, candidate="oracle-echo", exact="true", trials=4)),
+        ("copygen", dict(seed=24, lam=4, kappa=10, trials=8)),
+        ("gentle-search-bench", dict(seed=25, trials=8)),
+        ("shadow-bench", dict(seed=26, trials=6, epsilon=0.1, delta=0.01)),
     ):
         _, a = run(command, make_cfg(command, **kv, threads=1))
         _, b = run(command, make_cfg(command, **kv, threads=2))

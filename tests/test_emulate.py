@@ -24,6 +24,8 @@ from subsetlab.emulate import (
 from subsetlab.oracleworld import Gate, OracleAidedCircuit, OracleEnv, SubsetSpec
 from subsetlab.qcore import CapacityError, Rng, StateVector, overlap
 
+from reference import trace_distance
+
 
 @pytest.fixture
 def env2():
@@ -159,7 +161,7 @@ def test_untouched_copies_survive_partial_trace(env2):
     widened = OracleAidedCircuit(5, tuple(source.gates))
     out = ow.run_circuit(widened, env2, joint, Rng(0)).output
     reduced = qcore.partial_trace(qcore.promote(out), [2, 3, 4])
-    assert qcore.trace_distance(reduced, qcore.promote(chi)) <= 1e-9
+    assert trace_distance(reduced, qcore.promote(chi)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

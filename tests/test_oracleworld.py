@@ -1,4 +1,4 @@
-"""Oracle instances, circuit execution, deferral, and serialization."""
+"""Oracle instances, circuit execution, and serialization."""
 
 import math
 
@@ -12,9 +12,7 @@ from subsetlab.oracleworld import (
     OracleEnv,
     SubsetSpec,
     apply_oracle,
-    defer_measurements,
     format_circuit,
-    is_deferred,
     oracle_matrix,
     parse_circuit,
     run_circuit,
@@ -187,49 +185,6 @@ def test_condition_requires_prior_measurement():
         OracleAidedCircuit(
             2, (Gate.unitary("X", [1], condition=("m", 1)),)
         )
-
-
-def test_deferred_compiler_preserves_distribution():
-    circuit = OracleAidedCircuit(
-        2,
-        (
-            Gate.unitary("H", [0]),
-            Gate.measure([0], "m"),
-            Gate.unitary("X", [1], condition=("m", 1)),
-            Gate.measure([1], "out"),
-        ),
-    )
-    deferred = defer_measurements(circuit)
-    assert is_deferred(deferred)
-    n = 2000
-    direct = sum(
-        run_circuit(circuit, None, zero_state(2), Rng(6).child(i)).record["out"][0]
-        for i in range(n)
-    )
-    compiled = sum(
-        run_circuit(deferred, None, zero_state(2), Rng(7).child(i)).record["out"][0]
-        for i in range(n)
-    )
-    sigma = 3 * math.sqrt(0.25 / n)
-    assert abs(direct / n - 0.5) <= sigma
-    assert abs(compiled / n - 0.5) <= sigma
-    # the conditioned-X correlation must survive compilation exactly
-    for i in range(50):
-        rec = run_circuit(deferred, None, zero_state(2), Rng(8).child(i)).record
-        assert rec["out"][0] == rec["m"][0]
-
-
-def test_deferred_compiler_rejects_reuse():
-    circuit = OracleAidedCircuit(
-        2,
-        (
-            Gate.unitary("H", [0]),
-            Gate.measure([0], "m"),
-            Gate.unitary("X", [0]),
-        ),
-    )
-    with pytest.raises(ValueError):
-        defer_measurements(circuit)
 
 
 def test_text_format_roundtrip():

@@ -1,6 +1,11 @@
 """Substrate checks: gates, measurement, metrics, reductions."""
 
+import ast
+import io
 import math
+import re
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,15 +21,14 @@ from subsetlab.qcore import (
     born_probabilities,
     fidelity,
     measure_computational,
-    mix,
     overlap,
     partial_trace,
     promote,
-    statistical_distance,
     tensor,
-    trace_distance,
     zero_state,
 )
+
+from reference import mix, statistical_distance, trace_distance
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -237,6 +241,57 @@ def test_capacity_guards():
         StateVector(23, np.zeros(8))
     with pytest.raises(CapacityError):
         DensityMatrix(14, np.zeros((2, 2)))
+
+
+# The literals like 1e-9 that may stand outside NumericalPolicy's fields,
+# by module and enclosing function; NumericalPolicy's docstring names each.
+INLINE_CUTOFFS = {
+    ("emulate", "_main_axis_action"): {"1e-14", "1e-12"},
+    ("qefid", "_sampled_td_gram"): {"1e-12"},
+    ("cli", "three_sigma"): {"1e-12"},
+    ("cli", "_cmd_emulate_bound"): {"1e-8"},
+    ("qcore", "StateVector.__post_init__"): {"1e-7"},
+}
+
+
+def negative_exponent_literals(source):
+    """(innermost enclosing def or class, literal) per number like 1e-9."""
+    scopes = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                scopes.append((child.lineno, child.end_lineno, name))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NUMBER and re.search(r"[eE]-", tok.string):
+            line = tok.start[0]
+            inside = [s for s in scopes if s[0] <= line <= s[1]]
+            owner = max(inside)[2] if inside else "<module>"
+            yield owner, tok.string
+
+
+def test_inline_tolerances_are_policy_fields_or_named_cutoffs():
+    stray, used = [], {}
+    for path in sorted(Path(qcore.__file__).parent.glob("*.py")):
+        module = path.stem
+        for owner, literal in negative_exponent_literals(path.read_text()):
+            if (module, owner) == ("qcore", "NumericalPolicy"):
+                continue
+            if literal in INLINE_CUTOFFS.get((module, owner), ()):
+                used.setdefault((module, owner), set()).add(literal)
+            else:
+                stray.append(f"{module}.{owner}: {literal}")
+    assert stray == []
+    assert used == INLINE_CUTOFFS
+    doc = qcore.NumericalPolicy.__doc__
+    for module, owner in INLINE_CUTOFFS:
+        assert f"``{module}.{owner}``" in doc
 
 
 def test_rng_determinism_and_child_streams():

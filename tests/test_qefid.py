@@ -7,8 +7,10 @@ import pytest
 
 from subsetlab import qefid
 from subsetlab import oracleworld as ow
-from subsetlab.qcore import CapacityError, Rng, statistical_distance
+from subsetlab.qcore import CapacityError, Rng
 from subsetlab.oracleworld import OracleEnv, SubsetSpec, sample_subset
+
+from reference import mix, statistical_distance, trace_distance, yao_transform
 
 # Exact mixture trace distances, frozen after computing them with this
 # module's block method and cross-checking against a dense density-matrix
@@ -16,6 +18,7 @@ from subsetlab.oracleworld import OracleEnv, SubsetSpec, sample_subset
 TD_LAM2_T1 = 0.375
 TD_LAM4_T1 = 0.2571400581993076
 TD_LAM2_T2 = 0.43078372937481546
+TD_LAM4_T2 = 0.37853720187151996
 # Monte-Carlo regression values at fixed seeds (subset sampling only; the
 # challenge register is folded analytically).
 TD_SAMPLED_8_1 = 0.39584080051966625
@@ -94,12 +97,6 @@ def test_yao_identity_for_membership_lam4():
     assert positive == pytest.approx(0.5625, abs=1e-9)
 
 
-def test_yao_rate_helper_trivial_cases():
-    assert qefid.yao_positive_gap_from_rates(0.0, 0.0) == pytest.approx(0.0)
-    assert qefid.yao_positive_gap_from_rates(1.0, 1.0) == pytest.approx(0.0)
-    assert qefid.yao_positive_gap_from_rates(1.0, 0.0) == pytest.approx(1.0)
-
-
 def test_yao_identity_pointwise_for_random_accept_tables():
     # The squared-gap identity is exact for any accept-probability table,
     # not just deterministic distinguishers.
@@ -111,19 +108,16 @@ def test_yao_identity_pointwise_for_random_accept_tables():
             decide=lambda s, rng: rng.bernoulli(probs[int(s, 2)]),
             accept_prob=lambda s: float(probs[int(s, 2)]),
         )
-        a0, a1, gap = qefid.exact_distinguisher_gap(d, spec)
+        _, _, gap = qefid.exact_distinguisher_gap(d, spec)
         assert qefid.exact_yao_positive_gap(d, spec) == pytest.approx(
             gap**2, abs=1e-9
-        )
-        assert qefid.yao_positive_gap_from_rates(a0, a1) == pytest.approx(
-            (a0 - a1) ** 2, abs=1e-12
         )
 
 
 def test_yao_transform_empirical_matches_exact(env2):
     spec = env2.spec(2)
     member = qefid.membership_distinguisher(spec)
-    transformed = qefid.yao_transform(
+    transformed = yao_transform(
         member,
         sampler0=lambda rng: qefid.sample_d0(env2, 2, rng),
         sampler1=lambda rng: qefid.sample_d1(2, rng),
@@ -161,6 +155,9 @@ def test_exact_lemma_regression_constants():
     assert qefid.statistical_lemma_experiment(2, 2).td == pytest.approx(
         TD_LAM2_T2, abs=1e-10
     )
+    assert qefid.statistical_lemma_experiment(4, 2).td == pytest.approx(
+        TD_LAM4_T2, abs=1e-10
+    )
 
 
 def test_exact_lemma_below_bound():
@@ -191,7 +188,7 @@ def test_exact_lemma_matches_dense_construction():
         for u in range(dim):
             joint = qcore.tensor(s_minus, qcore.basis_state(lam, u))
             parts1.append((w / dim, qcore.promote(joint)))
-    td = qcore.trace_distance(qcore.mix(parts0), qcore.mix(parts1))
+    td = trace_distance(mix(parts0), mix(parts1))
     assert td == pytest.approx(TD_LAM2_T1, abs=1e-12)
 
 

@@ -20,6 +20,8 @@ from subsetlab.tomography import (
     shadow_tomography,
 )
 
+from reference import mix
+
 
 def fixed_prob_family(probs: dict[str, float]) -> PovmFamily:
     def build(key):
@@ -58,7 +60,7 @@ def test_density_matrix_input_is_linear():
     proc = CircuitAcceptProcedure(v.circuit, v.input_qubits, v.accept_qubit)
     p0 = proc.accept_probability(basis_state(1, 0))
     p1 = proc.accept_probability(basis_state(1, 1))
-    mixed = qcore.mix(
+    mixed = mix(
         [(0.3, qcore.promote(basis_state(1, 0))), (0.7, qcore.promote(basis_state(1, 1)))]
     )
     assert proc.accept_probability(mixed) == pytest.approx(0.3 * p0 + 0.7 * p1, abs=1e-10)
