@@ -15,8 +15,8 @@ mints fresh notes under it with the real oracle.
 The scaled-down slack: the asymptotic analysis writes its slacks as 1/kappa
 for a large key length kappa; at desk scale these are replaced by an
 explicit parameter eta in (0, 0.1), so the match threshold is 5*mu*eta and
-the output count is ceil(2m / (mu (1 - 10 eta))) times a configurable
-repetition multiplier.  Every report echoes this substitution.
+the output count is ceil(2m / (mu (1 - 10 eta))).  The CLI's ``ETA_NOTE``
+states this substitution in every ``money-forge`` report.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .qcore import POLICY, Rng, StateVector
 from .schemes import MoneyScheme, OwsgCandidate
 
 __all__ = [
+    "INVERSION_THRESHOLD",
     "ResourceState",
     "ResourceFailure",
     "prepare_resources",
@@ -48,6 +49,15 @@ __all__ = [
     "forgery_game",
     "ForgeryGameResult",
 ]
+
+
+#: Copy-generation attempts per copy of |S->; a copy fails with
+#: probability 2^-GEN_KAPPA.
+GEN_KAPPA = 30
+
+#: The inversion game counts a found key as a success when the real
+#: verifier accepts it with at least this exact probability.
+INVERSION_THRESHOLD = 1.0 / 3.0
 
 
 class ResourceFailure(RuntimeError):
@@ -107,8 +117,6 @@ class OwsgAttackParams:
     epsilon: float = 0.5
     delta: float = 0.5
     exact_search: bool = False
-    gen_kappa: int = 30
-    copy_budget: int | None = None
 
 
 @dataclass
@@ -173,7 +181,7 @@ def owsg_attack(
             env,
             levels,
             {lam: ell for lam in levels},
-            params.gen_kappa,
+            GEN_KAPPA,
             rng,
         )
         slack = emulate.emulation_bound(
@@ -189,7 +197,6 @@ def owsg_attack(
         params.epsilon,
         params.delta,
         rng,
-        copies=params.copy_budget,
         exact=params.exact_search,
     )
     return OwsgAttackResult(search.key, search, resources, slack)
@@ -208,11 +215,10 @@ def owsg_inversion_game(
     params: OwsgAttackParams,
     trials: int,
     rng: Rng,
-    threshold: float = 1.0 / 3.0,
 ) -> list[InversionTrial]:
     """Score the attack over seeded trials: fresh world, fresh key, one
     challenge; success when the real verifier accepts the found key with
-    exact probability >= threshold."""
+    exact probability >= ``INVERSION_THRESHOLD``."""
     records: list[InversionTrial] = []
     for i in range(trials):
         trial_rng = rng.child(i)
@@ -223,7 +229,7 @@ def owsg_inversion_game(
         challenge = candidate.generate_state(k_star, env)
         result = owsg_attack(candidate, env, challenge, params, trial_rng)
         p = candidate.exact_verify_prob(result.key, challenge, env)
-        records.append(InversionTrial(k_star, result.key, p, p >= threshold))
+        records.append(InversionTrial(k_star, result.key, p, p >= INVERSION_THRESHOLD))
     return records
 
 
@@ -242,9 +248,6 @@ class MoneyForgeParams:
     delta_st: float = 0.05
     copies_per_query: int = 1024  # reflection copies per level inside tau
     exact_estimators: bool = False
-    gen_kappa: int = 30
-    repetition_multiplier: int = 1
-    raise_on_abort: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eta < 0.1:
@@ -254,14 +257,11 @@ class MoneyForgeParams:
 @dataclass
 class MoneyForgeResult:
     outputs: list[StateVector]
-    chosen_key: str | None
-    aborted: bool
+    chosen_key: str
     b_v: tomography.EstimateTable
     b_vm: tomography.EstimateTable
     m_prime: int
-    threshold: float
     resources: ResourceState | None
-    formulas: dict[str, str]
 
 
 #: Oracle instances whose exact values the forger keeps; lam=2 has three.
@@ -335,7 +335,8 @@ def money_forge(
     Estimate the rewritten verifier family on the challenge note and the
     rewritten mint-then-verify family on the copy resources, pick the
     lexicographically first key whose columns agree within 5*mu*eta, and
-    mint ceil(2m/(mu(1-10 eta))) fresh notes under it.
+    mint ceil(2m/(mu(1-10 eta))) fresh notes under it.  Raises
+    ``ForgeAbort`` when no key agrees.
     """
     m = len(challenges)
     if m < 1:
@@ -352,7 +353,7 @@ def money_forge(
             env,
             levels,
             {lam: 3 * m * ell for lam in levels},
-            params.gen_kappa,
+            GEN_KAPPA,
             rng,
         )
 
@@ -402,31 +403,14 @@ def money_forge(
         exact=params.exact_estimators,
     )
     threshold = 5.0 * mu * eta
-    chosen: str | None = None
-    for kp in scheme.keys:
-        if all(abs(b_v[k] - b_vm[(k, kp)]) <= threshold for k in scheme.keys):
-            chosen = kp
+    for chosen in scheme.keys:
+        if all(abs(b_v[k] - b_vm[(k, chosen)]) <= threshold for k in scheme.keys):
             break
-    formulas = {
-        "threshold": f"5*mu*eta = 5*{mu}*{eta} = {threshold}",
-        "m_prime": (
-            f"ceil({params.repetition_multiplier}*2m/(mu(1-10 eta))) = "
-            f"ceil({params.repetition_multiplier}*2*{m}/({mu}*(1-10*{eta})))"
-        ),
-    }
-    m_prime = math.ceil(
-        params.repetition_multiplier * 2.0 * m / (mu * (1.0 - 10.0 * eta))
-    )
-    if chosen is None:
-        if params.raise_on_abort or params.exact_estimators:
-            raise ForgeAbort("no key matched the challenge's estimate column")
-        return MoneyForgeResult(
-            [], None, True, b_v, b_vm, m_prime, threshold, resources, formulas
-        )
+    else:
+        raise ForgeAbort("no key matched the challenge's estimate column")
+    m_prime = math.ceil(2.0 * m / (mu * (1.0 - 10.0 * eta)))
     outputs = [scheme.mint_state(chosen, env) for _ in range(m_prime)]
-    return MoneyForgeResult(
-        outputs, chosen, False, b_v, b_vm, m_prime, threshold, resources, formulas
-    )
+    return MoneyForgeResult(outputs, chosen, b_v, b_vm, m_prime, resources)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +452,6 @@ class ForgeryTrial:
     success: bool
     aborted: bool
     attacker_verify_queries: int
-    oracle_queries: int
 
 
 @dataclass
@@ -527,7 +510,6 @@ def forgery_game(
                 success=accepts >= m + 1,
                 aborted=aborted,
                 attacker_verify_queries=attack_queries,
-                oracle_queries=env.total_queries(),
             )
         )
     return ForgeryGameResult(records)

@@ -350,14 +350,14 @@ def _cmd_copygen(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
     )
 
 
-def _wiesner_family(env_free_n: int = 2) -> tuple[tomography.PovmFamily, schemes.OwsgCandidate]:
-    cand = schemes.wiesner_owsg(env_free_n)
+def _wiesner_family() -> tuple[tomography.PovmFamily, schemes.OwsgCandidate]:
+    cand = schemes.wiesner_owsg(2)
 
     def build(key: str) -> tomography.AcceptProcedure:
         v = cand.verify(key)
         return tomography.CircuitAcceptProcedure(v.circuit, v.input_qubits, v.accept_qubit)
 
-    return tomography.PovmFamily(cand.keys, build, env_free_n), cand
+    return tomography.PovmFamily(cand.keys, build, 2), cand
 
 
 def _cmd_gentle_search_bench(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
@@ -445,8 +445,9 @@ def _cmd_owsg_attack(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
     ]
     rate = sum(r.success for r in records) / cfg.trials
     target = 0.9 if cfg.exact else 0.5
-    report.aggregate = {"success_rate": rate, "threshold": 1.0 / 3.0, "target": target}
-    report.bound("success means exact accept >= 1/3", 1.0 / 3.0)
+    threshold = attacks.INVERSION_THRESHOLD
+    report.aggregate = {"success_rate": rate, "threshold": threshold, "target": target}
+    report.bound("success means exact accept >= 1/3", threshold)
     report.verdict("inversion-rate", rate >= target, f"{rate} >= {target}")
 
 
@@ -511,6 +512,12 @@ def _cmd_money_forge(cfg: ExperimentConfig, rng: Rng, report: Report) -> None:
         )
 
 
+#: Commands that run their trials in order and never call ``run_trials``;
+#: their reports echo ``threads: 0``, the count that ran.
+_SEQUENTIAL = frozenset(
+    {"qefid-sd", "qefid-yao", "statistical-lemma", "owsg-attack", "money-forge"}
+)
+
 COMMANDS: dict[str, Callable[[ExperimentConfig, Rng, Report], None]] = {
     "qefid-sd": _cmd_qefid_sd,
     "qefid-yao": _cmd_qefid_yao,
@@ -527,6 +534,8 @@ COMMANDS: dict[str, Callable[[ExperimentConfig, Rng, Report], None]] = {
 
 def run(command: str, cfg: ExperimentConfig) -> tuple[int, Report]:
     report = Report(command=command, config=cfg.echo())
+    if command in _SEQUENTIAL:
+        report.config["threads"] = 0
     rng = Rng(cfg.seed)
     start = time.perf_counter()
     COMMANDS[command](cfg, rng, report)

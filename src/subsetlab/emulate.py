@@ -157,7 +157,6 @@ class EmulationPlan:
     evaluator does not need it.
     """
 
-    source: ow.OracleAidedCircuit
     ell_per_lambda: dict[int, int]
     copy_offsets: dict[int, tuple[int, ...]]
     rewritten_gates: tuple[ow.Gate, ...]
@@ -203,7 +202,6 @@ def build_emulation(
         ]
         rewritten.append(ow.Gate.symreflect(blocks))
     return EmulationPlan(
-        source=circuit,
         ell_per_lambda=ells,
         copy_offsets=copy_offsets,
         rewritten_gates=tuple(rewritten),
@@ -531,18 +529,15 @@ class EmulationErrorResult:
     exact_td: float
     bound: float
     inner_product: complex
-    ell_per_lambda: dict[int, int]
-    query_counts: dict[int, int]
 
 
 def emulation_error(
     circuit: ow.OracleAidedCircuit,
     env: ow.OracleEnv,
     ell_per_lambda: Mapping[int, int] | int,
-    input_state: StateVector | None = None,
 ) -> EmulationErrorResult:
     """Exact trace distance between the oracle run (with untouched copies)
-    and the rewritten run, against the 2q/sqrt(ell+1) bound.
+    and the rewritten run from |0...0>, against the 2q/sqrt(ell+1) bound.
 
     Both runs are evaluated exactly: the oracle path on the plain state
     vector, the rewritten path in the compressed basis; the distance comes
@@ -552,8 +547,7 @@ def emulation_error(
     plan = build_emulation(circuit, ell_per_lambda)
     counts = dict(circuit.declared_query_count)
     bound = emulation_bound(counts, plan.ell_per_lambda)
-    if input_state is None:
-        input_state = qcore.zero_state(circuit.num_qubits)
+    input_state = qcore.zero_state(circuit.num_qubits)
     # Oracle path (queries not charged to the env: this is analysis).
     plain = ow.evolve(input_state, prefix, env, count=False)
     # Rewritten path.
@@ -566,21 +560,19 @@ def emulation_error(
     td = math.sqrt(max(0.0, 1.0 - abs(ip) ** 2))
     if td > bound + POLICY.prob_atol:
         raise AssertionError(f"exact TD {td} exceeds the bound {bound}")
-    return EmulationErrorResult(td, bound, ip, plan.ell_per_lambda, counts)
+    return EmulationErrorResult(td, bound, ip)
 
 
 # ---------------------------------------------------------------------------
 # Randomized corpus helpers
 
 
-def random_oracle_circuit(
-    lam: int, q: int, rng: Rng, extra_qubits: int = 1
-) -> ow.OracleAidedCircuit:
-    """A random q-query circuit: Haar unitaries on random wire pairs
-    interleaved with oracle gates on the leading lam+1 qubits."""
+def random_oracle_circuit(lam: int, q: int, rng: Rng) -> ow.OracleAidedCircuit:
+    """A random q-query circuit on lam+2 qubits: Haar unitaries on random
+    wire pairs interleaved with oracle gates on the leading lam+1 qubits."""
     from scipy.stats import unitary_group
 
-    width = lam + 1 + extra_qubits
+    width = lam + 2
     gates: list[ow.Gate] = []
 
     def random_layer() -> None:
@@ -597,19 +589,14 @@ def random_oracle_circuit(
     return ow.OracleAidedCircuit(width, tuple(gates))
 
 
-def pre_query_state(
-    circuit: ow.OracleAidedCircuit,
-    env: ow.OracleEnv,
-    input_state: StateVector | None = None,
-) -> StateVector:
-    """The state right before the circuit's first oracle gate."""
-    if input_state is None:
-        input_state = qcore.zero_state(circuit.num_qubits)
+def pre_query_state(circuit: ow.OracleAidedCircuit, env: ow.OracleEnv) -> StateVector:
+    """The state right before the circuit's first oracle gate, from |0...0>."""
     prefix = ow.unitary_prefix(circuit)
     first = next((i for i, g in enumerate(prefix) if g.kind == "oracle"), None)
     if first is None:
         raise ValueError("circuit has no oracle gate")
-    return ow.evolve(input_state, prefix[:first], env, count=False)
+    start = qcore.zero_state(circuit.num_qubits)
+    return ow.evolve(start, prefix[:first], env, count=False)
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,6 @@ class OracleEnv:
     def query_count(self, lam: int) -> int:
         return self._counters[lam]
 
-    def total_queries(self) -> int:
-        return sum(self._counters.values())
-
     def record_query(self, lam: int) -> None:
         with self._lock:
             self._counters[lam] += 1

@@ -62,7 +62,10 @@ class NumericalPolicy:
       verdicts;
     * ``closed_form_atol``, an enumerated value against its closed form;
     * capacity bounds (``max_state_qubits``, ``max_density_qubits``,
-      ``max_block_factorial``, ``max_engine_entries``).
+      ``max_block_factorial``, ``max_engine_entries``).  Besides the
+      compressed engine's amplitudes, ``max_engine_entries`` bounds the
+      sampled statistical lemma's arrays: its dense per-challenge blocks
+      and its Gram matrices.
 
     Five literals stay inline.  Three are cutoffs inside one numerical
     kernel, not tolerances on a result:
@@ -237,6 +240,7 @@ class Rng:
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational basis state ``|index>`` (qubit 0 = most significant bit)."""
+    _check_state_capacity(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)

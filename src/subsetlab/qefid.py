@@ -98,15 +98,12 @@ class Distinguisher:
 
     ``decide(challenge, rng)`` returns a bit.  When the per-challenge accept
     probability is exactly computable, ``accept_prob(challenge)`` exposes it
-    so gaps can be evaluated without sampling.  Resource requirements are
-    declared, not enforced.
+    so gaps can be evaluated without sampling.
     """
 
     name: str
     decide: Callable[[str, Rng], int]
     accept_prob: Callable[[str], float] | None = None
-    needs_oracle: bool = False
-    copies_required: int = 0
 
     def exact(self) -> bool:
         return self.accept_prob is not None
@@ -123,7 +120,6 @@ def membership_distinguisher(spec: SubsetSpec) -> Distinguisher:
         name="membership",
         decide=decide,
         accept_prob=lambda challenge: float(challenge in members),
-        needs_oracle=True,
     )
 
 
@@ -202,7 +198,6 @@ class LemmaExperimentResult:
     mode: str
     td: float
     bound: float
-    sample_count: int | None = None
 
 
 def statistical_lemma_experiment(
@@ -235,7 +230,7 @@ def statistical_lemma_experiment(
         if rng is None:
             raise ValueError("sampled mode needs an rng")
         td = _sampled_lemma_td(lam, t, count, rng)
-        return LemmaExperimentResult(lam, t, "sampled", td, bound, count)
+        return LemmaExperimentResult(lam, t, "sampled", td, bound)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -254,20 +249,28 @@ def _sampled_lemma_td(lam: int, t: int, count: int, rng: Rng) -> float:
     register is folded analytically (uniform over the subset's members on
     one side, maximally mixed on the other), mirroring the exact mode.
     Both mixtures stay block-diagonal over the challenge register, and the
-    copy-register blocks are handled spectrally: densely when the copy
-    dimension is small, otherwise through Gram matrices of the sampled
-    subset states, whose pairwise inner products have the closed form
-    <S-|W-> = (|S^W|/|S| + 1)/2.
+    copy-register blocks are handled spectrally: densely while the
+    dim x copy_dim x copy_dim blocks fit ``POLICY.max_engine_entries``,
+    otherwise through count x count Gram matrices of the sampled subset
+    states, whose pairwise inner products have the closed form
+    <S-|W-> = (|S^W|/|S| + 1)/2.  An oversized Gram path raises
+    ``CapacityError`` before any subset is drawn.
     """
     size = 1 << (lam // 2)
     dim = 1 << lam
+    dense = dim * dim ** (2 * t) <= POLICY.max_engine_entries
+    if not dense and count * count > POLICY.max_engine_entries:
+        raise CapacityError(
+            f"count={count} needs {count}^2-entry Gram matrices, over the "
+            f"{POLICY.max_engine_entries}-entry cap"
+        )
     masks0 = np.zeros((count, dim), dtype=bool)
     masks1 = np.zeros((count, dim), dtype=bool)
     for i in range(count):
         masks0[i, rng.choice_no_replace(dim - 1, size) + 1] = True
     for i in range(count):
         masks1[i, rng.choice_no_replace(dim - 1, size) + 1] = True
-    if dim**t <= 4096:
+    if dense:
         return _sampled_td_dense(lam, t, masks0, masks1)
     return _sampled_td_gram(lam, t, masks0, masks1)
 
@@ -389,7 +392,6 @@ class CopyWorldView:
 @dataclass
 class CopyDistinguisher:
     name: str
-    copies_required: int
     decide: Callable[[str, CopyWorldView], int]
 
 
@@ -410,11 +412,11 @@ def copy_distinguisher_catalog(t: int) -> list[CopyDistinguisher]:
         return view.swap_test_copy(int(challenge, 2))
 
     catalog = [
-        CopyDistinguisher("collision", t, collision),
-        CopyDistinguisher("no-collision", t, no_collision),
+        CopyDistinguisher("collision", collision),
+        CopyDistinguisher("no-collision", no_collision),
     ]
     if t >= 1:
-        catalog.append(CopyDistinguisher("swap-test", 1, swap_tester))
+        catalog.append(CopyDistinguisher("swap-test", swap_tester))
     return catalog
 
 

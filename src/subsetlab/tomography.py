@@ -17,8 +17,9 @@ output guarantees are the contract:
 * shadow tomography returns estimates within epsilon of every exact
   accept probability, with probability >= 1 - delta.
 
-Every run reports the batch formula it used so the divergence from the
-literature's sample complexity is visible in the artifact's output.
+The CLI's ``SAMPLE_NOTE`` states this divergence from the literature's
+sample complexity in the report of every command that runs these
+procedures.
 """
 
 from __future__ import annotations
@@ -39,12 +40,10 @@ __all__ = [
     "CallableAcceptProcedure",
     "PovmFamily",
     "EstimateTable",
-    "CopyBudgetError",
     "exact_accept_prob",
     "gentle_search",
     "GentleSearchResult",
     "gentle_search_batch_size",
-    "gentle_search_required_copies",
     "shadow_tomography",
     "shadow_batch_size",
 ]
@@ -160,10 +159,6 @@ def exact_accept_prob(
     return float(min(max(p, 0.0), 1.0))
 
 
-class CopyBudgetError(RuntimeError):
-    """Raised when the provided input copies run out mid-procedure."""
-
-
 # ---------------------------------------------------------------------------
 # Gentle search
 
@@ -173,18 +168,11 @@ def gentle_search_batch_size(num_keys: int, epsilon: float, delta: float) -> int
     return math.ceil(8.0 * math.log(2.0 * levels / delta) / epsilon**2)
 
 
-def gentle_search_required_copies(num_keys: int, epsilon: float, delta: float) -> int:
-    levels = max(1, math.ceil(math.log2(num_keys)))
-    return 2 * levels * gentle_search_batch_size(num_keys, epsilon, delta)
-
-
 @dataclass
 class GentleSearchResult:
     key: Hashable
     copies_used: int
     estimates: dict[Hashable, float]
-    batch_size: int
-    exact: bool
 
 
 def gentle_search(
@@ -194,7 +182,6 @@ def gentle_search(
     epsilon: float,
     delta: float,
     rng: Rng,
-    copies: int | None = None,
     exact: bool = False,
 ) -> GentleSearchResult:
     """Find a key whose element accepts `state` with probability >= c - eps.
@@ -215,7 +202,6 @@ def gentle_search(
     """
     keys = list(family.keys)
     batch = gentle_search_batch_size(len(keys), epsilon, delta)
-    budget = gentle_search_required_copies(len(keys), epsilon, delta) if copies is None else copies
     exact_probs: dict[Hashable, float] = {}
 
     def exact_p(k: Hashable) -> float:
@@ -239,10 +225,6 @@ def gentle_search(
         if exact:
             return max(exact_p(k) for k in block)
         for _ in range(batch):
-            if used >= budget:
-                raise CopyBudgetError(
-                    f"copy budget {budget} exhausted during gentle search"
-                )
             best = max(estimate(k) for k in block)
             subfamily = [k for k in block if estimate(k) == best]
             k = subfamily[rng.integers(0, len(subfamily))]
@@ -260,7 +242,7 @@ def gentle_search(
         else:
             active = second
     estimates = {k: (exact_p(k) if exact else estimate(k)) for k in keys}
-    return GentleSearchResult(active[0], used, estimates, batch, exact)
+    return GentleSearchResult(active[0], used, estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +254,7 @@ class EstimateTable:
     """Estimates in [0,1], keyed like the family that produced them."""
 
     values: dict[Hashable, float]
-    batch_size: int
     copies_used: int
-    exact: bool
 
     def __post_init__(self) -> None:
         for k, v in self.values.items():
@@ -298,7 +278,6 @@ def shadow_tomography(
     epsilon: float,
     delta: float,
     rng: Rng,
-    copies: int | None = None,
     exact: bool = False,
 ) -> EstimateTable:
     """Estimate every element's accept probability on `state`.
@@ -310,11 +289,6 @@ def shadow_tomography(
     """
     m = len(family.keys)
     batch = shadow_batch_size(m, epsilon, delta)
-    needed = 0 if exact else m * batch
-    if copies is not None and copies < needed:
-        raise CopyBudgetError(
-            f"shadow tomography needs {needed} copies, only {copies} available"
-        )
     values: dict[Hashable, float] = {}
     for k in family.keys:
         p = exact_accept_prob(family, k, state)
@@ -322,4 +296,4 @@ def shadow_tomography(
             values[k] = p
         else:
             values[k] = rng.binomial(batch, p) / batch
-    return EstimateTable(values, batch, needed, exact)
+    return EstimateTable(values, 0 if exact else m * batch)

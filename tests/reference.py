@@ -88,6 +88,4 @@ def yao_transform(
         name=f"yao({a.name})",
         decide=decide,
         accept_prob=None,
-        needs_oracle=a.needs_oracle,
-        copies_required=2 * a.copies_required,
     )

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from subsetlab import cli
+from subsetlab import cli, qefid
 from subsetlab.cli import ExperimentConfig, run
+from subsetlab.qcore import Rng
 
 
 def make_cfg(command, **kv):
@@ -110,6 +111,24 @@ def test_oversized_engine_exits_3(tmp_path):
     assert code == 3
 
 
+def test_oversized_lemma_gram_exits_3(tmp_path, monkeypatch):
+    # lam=6, t=2 takes the Gram path, whose three count x count matrices
+    # exceed the cap at count=9000; the check comes before any subset is
+    # drawn.
+    def unreachable(*args):
+        raise AssertionError("allocated before the capacity check")
+
+    monkeypatch.setattr(qefid, "_sampled_td_dense", unreachable)
+    monkeypatch.setattr(qefid, "_sampled_td_gram", unreachable)
+    monkeypatch.setattr(Rng, "choice_no_replace", unreachable)
+    config = tmp_path / "cfg.txt"
+    config.write_text("seed=3\nlam=6\nt=2\nmode=sampled\ncount=9000\n")
+    code = cli.main(
+        ["statistical-lemma", "--config", str(config), "--out", str(tmp_path)]
+    )
+    assert code == 3
+
+
 def test_too_few_copies_exits_2(tmp_path):
     # ell = 1 copy cannot hold q = 2 excitations.
     config = tmp_path / "cfg.txt"
@@ -131,6 +150,20 @@ def test_money_forge_echoes_the_config_it_ran(tmp_path):
     assert echo["epsilon"] == 0.1
     assert echo["delta"] == 0.05
     assert echo["m"] == 2
+
+
+def test_sampled_money_forge_reports_its_aborts():
+    # Noisy estimates (epsilon = delta = 0.4) often leave no key within
+    # 5*mu*eta of the challenge's column; each such trial forges nothing.
+    cfg = make_cfg(
+        "money-forge", seed=1, scheme="wiesner", exact="false",
+        epsilon=0.4, delta=0.4, trials=10,
+    )
+    _, report = run("money-forge", cfg)
+    empty = [t["outputs"] == 0 for t in report.trials]
+    assert any(empty)
+    assert [t["aborted"] for t in report.trials] == empty
+    assert report.aggregate["abort_rate"] == sum(empty) / 10
 
 
 def test_money_forge_rejects_m_zero(tmp_path):
@@ -189,12 +222,17 @@ def test_threads_do_not_change_results():
     _, b = run("project-reflect", threaded)
     assert a.trials == b.trials
     assert a.aggregate == b.aggregate
+    assert b.config["threads"] == 4
     # The other commands that run their trials on threads (emulate-bound's
     # share the engine's caches, the benches' a keyed family's elements),
-    # and owsg-attack, which runs its trials in order.
+    # and the commands that run in order, which echo that no thread ran.
+    sequential = {"owsg-attack", "money-forge", "statistical-lemma", "qefid-sd"}
     for command, kv in (
         ("emulate-bound", dict(seed=22, lam=4, q=2, ell=7, trials=6)),
         ("owsg-attack", dict(seed=23, candidate="oracle-echo", exact="true", trials=4)),
+        ("money-forge", dict(seed=27, scheme="wiesner", exact="true", trials=1)),
+        ("statistical-lemma", dict(seed=28, lam=2, t=1, mode="sampled", count=50)),
+        ("qefid-sd", dict(seed=29, lam=2)),
         ("copygen", dict(seed=24, lam=4, kappa=10, trials=8)),
         ("gentle-search-bench", dict(seed=25, trials=8)),
         ("shadow-bench", dict(seed=26, trials=6, epsilon=0.1, delta=0.01)),
@@ -203,6 +241,7 @@ def test_threads_do_not_change_results():
         _, b = run(command, make_cfg(command, **kv, threads=2))
         assert a.trials == b.trials, command
         assert a.aggregate == b.aggregate, command
+        assert b.config["threads"] == (0 if command in sequential else 2), command
 
 
 def test_every_command_runs_small():

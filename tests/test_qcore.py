@@ -5,6 +5,7 @@ import io
 import math
 import re
 import tokenize
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,18 @@ def test_capacity_guards():
         StateVector(23, np.zeros(8))
     with pytest.raises(CapacityError):
         DensityMatrix(14, np.zeros((2, 2)))
+
+
+def test_oversized_basis_state_raises_before_allocating():
+    # 2^23 complex amplitudes would take 128 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            zero_state(23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # The literals like 1e-9 that may stand outside NumericalPolicy's fields,

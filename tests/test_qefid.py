@@ -225,6 +225,16 @@ def test_sampled_lemma_lam8_t2_regression():
     assert res.bound == pytest.approx(0.47855339059327373, abs=1e-12)
 
 
+def test_sampled_lemma_lam6_t2_takes_the_gram_path(monkeypatch):
+    # Its dense blocks would hold 64 * 4096^2 floats (8.6 GB).
+    def dense_path(*args):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(qefid, "_sampled_td_dense", dense_path)
+    res = qefid.statistical_lemma_experiment(6, 2, "sampled", Rng(5), 40)
+    assert 0.0 <= res.td <= 1.0
+
+
 def test_lemma_bound_value_at_lam8_t2():
     # 2^-3 + sqrt(2 * 2^-4) = 0.125 + 0.35355... = 0.47855...
     assert qefid.statistical_lemma_bound(8, 2) == pytest.approx(

@@ -12,7 +12,6 @@ from subsetlab.qcore import Rng, zero_state, basis_state
 from subsetlab.tomography import (
     CallableAcceptProcedure,
     CircuitAcceptProcedure,
-    CopyBudgetError,
     EstimateTable,
     PovmFamily,
     exact_accept_prob,
@@ -154,12 +153,6 @@ def test_gentle_search_never_leaves_family():
         assert res.key in set(fam.keys)
 
 
-def test_gentle_search_copy_budget():
-    fam = fixed_prob_family({f"k{i}": 0.5 for i in range(4)})
-    with pytest.raises(CopyBudgetError):
-        gentle_search(fam, zero_state(1), 0.5, 0.5, 0.5, Rng(5), copies=3)
-
-
 def test_gentle_search_wiesner_quality():
     cand = schemes.wiesner_owsg(2)
 
@@ -205,12 +198,6 @@ def test_shadow_exact_mode_consumes_nothing():
     assert table["a"] == 0.25 and table["b"] == 0.75 and table.copies_used == 0
 
 
-def test_shadow_insufficient_copies():
-    fam = fixed_prob_family({"a": 0.5, "b": 0.5})
-    with pytest.raises(CopyBudgetError):
-        shadow_tomography(fam, zero_state(1), 0.1, 0.05, Rng(9), copies=10)
-
-
 def test_shadow_large_epsilon_trivially_satisfied():
     fam = fixed_prob_family({"a": 0.5, "b": 0.5})
     table = shadow_tomography(fam, zero_state(1), 0.5, 0.5, Rng(10))
@@ -220,7 +207,7 @@ def test_shadow_large_epsilon_trivially_satisfied():
 
 def test_estimate_table_validates_range():
     with pytest.raises(ValueError):
-        EstimateTable({"a": 1.25}, 1, 1, False)
+        EstimateTable({"a": 1.25}, 1)
 
 
 def test_shadow_worst_error_rate():
