@@ -66,7 +66,8 @@ class ResourceFailure(RuntimeError):
 
 @dataclass
 class ResourceState:
-    """Per-level blocks of |1>|S->, each verified exact at preparation."""
+    """Per-level blocks of |1>|S->.  Copies are verified exact once per
+    level: every copy of one subset is the same state, simulated once."""
 
     copies: dict[int, int]
     attempts: dict[int, int]
@@ -82,16 +83,16 @@ def prepare_resources(
 ) -> ResourceState:
     """Generate `multiplicity[lam]` copies of |S_lam -> per level.
 
-    Every produced copy is checked to have exact overlap 1 with the ideal
+    Each level's copy is checked to have exact overlap 1 with the ideal
     state; a generation failure (probability 2^-kappa per copy) raises.
     """
     copies: dict[int, int] = {}
     attempts: dict[int, int] = {}
     queries: dict[int, int] = {}
     for lam in levels:
-        ideal = ow.subset_states(env.spec(lam))[1]
         before = env.query_count(lam)
         total_attempts = 0
+        copy = None
         for i in range(multiplicity[lam]):
             result = emulate.generate_s_minus(env, lam, kappa, rng)
             total_attempts += result.attempts
@@ -99,7 +100,10 @@ def prepare_resources(
                 raise ResourceFailure(
                     f"copy generation failed at lambda={lam} after {kappa} attempts"
                 )
-            if abs(qcore.overlap(ideal, result.state)) ** 2 < 1.0 - POLICY.prob_atol:
+            copy = result.state
+        if copy is not None:
+            ideal = ow.subset_states(env.spec(lam))[1]
+            if abs(qcore.overlap(ideal, copy)) ** 2 < 1.0 - POLICY.prob_atol:
                 raise AssertionError("generated copy is not exact")
         copies[lam] = multiplicity[lam]
         attempts[lam] = total_attempts

@@ -74,22 +74,19 @@ __all__ = [
     "LruCache",
 ]
 
-MIN_GUARANTEED_ELL = 4
-
-
 # ---------------------------------------------------------------------------
 # Projection via one controlled reflection
 
 
-def project_via_reflection(
-    input_state: StateVector, target: StateVector, rng: Rng
-) -> tuple[bool, StateVector | None]:
-    """One-query projection onto `target`.
+def _projection(
+    input_state: StateVector, target: StateVector
+) -> tuple[np.ndarray, StateVector | None]:
+    """The deterministic part of one-query projection onto `target`.
 
-    Runs ancilla |+>, controlled reflection about the target, Hadamard,
-    ancilla measurement.  Success probability is exactly
-    |<target|input>|^2; on success the output equals the target up to
-    phase.
+    Runs ancilla |+>, the controlled reflection about |1>|target> and a
+    Hadamard on the ancilla.  Returns the ancilla's Born weights, indexed
+    by outcome, and the state that outcome 1 leaves on the input register
+    (None when that outcome's weight vanishes).
     """
     if input_state.num_qubits != target.num_qubits:
         raise ValueError("input and target must have the same qubit count")
@@ -99,10 +96,24 @@ def project_via_reflection(
     axis = np.kron(np.array([0.0, 1.0]), target.amplitudes)  # |1>|target>
     joint = qcore.reflect_about_axis(joint, axis, list(range(n + 1)))
     joint = qcore.apply_unitary(joint, ow.named_gate_matrix("H", 1), [0])
-    bits, collapsed, _ = qcore.measure_computational(joint, [0], rng)
-    if bits[0] != 1:
+    weights = qcore.born_probabilities(joint, [0])
+    if weights[1] < POLICY.prob_atol:
+        return weights, None
+    collapsed = qcore.collapse(joint, [0], (1,))
+    return weights, qcore.extract_pure(collapsed, list(range(1, n + 1)))
+
+
+def project_via_reflection(
+    input_state: StateVector, target: StateVector, rng: Rng
+) -> tuple[bool, StateVector | None]:
+    """One-query projection onto `target`: ``_projection`` and one draw of
+    the ancilla.  Success probability is exactly |<target|input>|^2; on
+    success the output equals the target up to phase.
+    """
+    weights, projected = _projection(input_state, target)
+    if qcore.sample_outcome(weights, rng) != 1 or projected is None:
         return False, None
-    return True, qcore.extract_pure(collapsed, list(range(1, n + 1)))
+    return True, projected
 
 
 @dataclass
@@ -117,26 +128,26 @@ def generate_s_minus(
 ) -> GenerateResult:
     """Produce |S_lam -> with at most `kappa` repeat-until-success attempts.
 
-    Each attempt queries the oracle once on |+>|0^lam> and Hadamard-measures
-    the control; the minus outcome leaves exactly |S_lam -> (up to phase)
-    with per-attempt probability exactly 1/2.  Overall failure probability
-    is 2^-kappa.
+    An attempt projects |0^lam> onto |S_lam -> by one controlled
+    reflection, which is one oracle query: it succeeds with probability
+    exactly |<S_lam -|0^lam>|^2 = 1/2 and leaves exactly |S_lam -> (up to
+    phase).  Overall failure probability is 2^-kappa.  Every attempt on one
+    subset has the same input, so the projection is simulated once per
+    subset (``_COPY_PROJECTIONS``); an attempt records its query and draws
+    its outcome.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
-    H = ow.named_gate_matrix("H", 1)
+    spec = env.spec(lam)
+    projection = _COPY_PROJECTIONS.get(spec)
+    if projection is None:
+        projection = _projection(qcore.zero_state(lam), ow.subset_states(spec)[1])
+        _COPY_PROJECTIONS.put(spec, projection)
+    weights, copy = projection
     for attempt in range(1, kappa + 1):
-        st = qcore.zero_state(lam + 1)
-        st = qcore.apply_unitary(st, H, [0])
-        st = ow.apply_oracle(st, env, lam, list(range(lam + 1)))
-        st = qcore.apply_unitary(st, H, [0])
-        bits, collapsed, _ = qcore.measure_computational(st, [0], rng)
-        if bits[0] == 1:
-            return GenerateResult(
-                qcore.extract_pure(collapsed, list(range(1, lam + 1))),
-                attempt,
-                True,
-            )
+        env.record_query(lam)
+        if qcore.sample_outcome(weights, rng) == 1:
+            return GenerateResult(copy, attempt, True)
     return GenerateResult(None, kappa, False)
 
 
@@ -161,7 +172,6 @@ class EmulationPlan:
     copy_offsets: dict[int, tuple[int, ...]]
     rewritten_gates: tuple[ow.Gate, ...]
     total_qubits: int
-    below_guaranteed_regime: bool
 
     def materialize(self) -> ow.OracleAidedCircuit:
         return ow.OracleAidedCircuit(self.total_qubits, self.rewritten_gates)
@@ -173,7 +183,7 @@ def build_emulation(
     """Plan the oracle-free rewrite of a deferred-measurement circuit.
 
     ``ell_per_lambda`` gives the copy count per queried level (one integer
-    applies to all levels).  Copy counts below 4 are allowed but flagged:
+    applies to all levels).  Copy counts below 4 are allowed, although
     the error bound's derivation assumes at least 4.
     """
     if not ow.is_deferred(circuit):
@@ -206,7 +216,6 @@ def build_emulation(
         copy_offsets=copy_offsets,
         rewritten_gates=tuple(rewritten),
         total_qubits=offset,
-        below_guaranteed_regime=any(e < MIN_GUARANTEED_ELL for e in ells.values()),
     )
 
 
@@ -295,50 +304,6 @@ def _apply_mirror(w: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """(I - 2|w><w|) on axis 1 of `flat`, of shape (R, N, K)."""
     overlap = np.tensordot(w.conj(), flat, axes=(0, 1))
     return flat - 2.0 * w[:, None] * overlap[:, None, :]
-
-
-def _main_axis_action(
-    matrix: np.ndarray, targets: tuple[int, ...], n: int
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Gather/scale realization of phased-permutation or diagonal gates.
-
-    Returns (source indices, per-index phases or None) over the 2^n main
-    axis when the matrix moves each basis state to a single basis state;
-    None for genuinely dense matrices.  Cached per (matrix, targets, n),
-    in a 1-tuple so that a cached None is a hit.
-    """
-    key = (matrix.tobytes(), targets, n)
-    cached = _MAIN_ACTION_CACHE.get(key)
-    if cached is not None:
-        return cached[0]
-    result = None
-    dim = matrix.shape[0]
-    k = len(targets)
-    nonzero = np.abs(matrix) > 1e-14
-    if nonzero.sum() == dim and np.all(nonzero.sum(axis=0) == 1):
-        rows = np.argmax(nonzero, axis=0)
-        vals = matrix[rows, np.arange(dim)]
-        if np.allclose(np.abs(vals), 1.0, atol=1e-12):
-            # Column c goes to row rows[c] with phase vals[c]; per output
-            # index, read from the preimage column.
-            inv = np.empty(dim, dtype=np.int64)
-            inv[rows] = np.arange(dim)
-            m = np.arange(1 << n, dtype=np.int64)
-            bits = np.zeros(1 << n, dtype=np.int64)
-            for j, t in enumerate(targets):
-                bits = (bits << 1) | ((m >> (n - 1 - t)) & 1)
-            src_bits = inv[bits]
-            src = m
-            for j, t in enumerate(targets):
-                bit = (src_bits >> (k - 1 - j)) & 1
-                shift = n - 1 - t
-                src = (src & ~(1 << shift)) | (bit << shift)
-            phases = vals[bits]
-            if np.allclose(phases, 1.0, atol=1e-14):
-                phases = None
-            result = (src, phases)
-    _MAIN_ACTION_CACHE.put(key, (result,))
-    return result
 
 
 @dataclass
@@ -431,14 +396,6 @@ class EmulationEngine:
         k = len(targets)
         targets = tuple(targets)
         matrix = np.asarray(matrix, dtype=np.complex128)
-        flat = state.array.reshape(1 << n, -1)
-        special = _main_axis_action(matrix, targets, n)
-        if special is not None:
-            src, phases = special
-            out = flat[src]
-            if phases is not None:
-                out = out * phases[:, None]
-            return CompressedState(n, self.sector_sizes, out.reshape(state.array.shape))
         if targets == tuple(range(targets[0], targets[0] + k)):
             # Contiguous ascending block: one batched matmul, no transposes.
             pre = 1 << targets[0]
@@ -764,6 +721,6 @@ _CREATION_MAP_NONZEROS = 1 << 24
 #: engines on different oracles share them.
 _CREATION_MAPS = LruCache(_CREATION_MAP_NONZEROS, lambda creation: creation.nnz)
 
-
-#: Phased-permutation realizations of gates (see ``_main_axis_action``).
-_MAIN_ACTION_CACHE = LruCache(4096)
+#: ``_projection`` of |0^lam> onto |S_lam -> by SubsetSpec, for copy
+#: generation.  One entry holds 2^lam amplitudes.
+_COPY_PROJECTIONS = LruCache(64)

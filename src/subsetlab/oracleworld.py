@@ -363,9 +363,6 @@ class OracleAidedCircuit:
     def query_levels(self) -> tuple[int, ...]:
         return tuple(sorted(self.declared_query_count))
 
-    def total_queries(self) -> int:
-        return sum(self.declared_query_count.values())
-
 
 @dataclass
 class RunResult:

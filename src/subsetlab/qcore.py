@@ -34,6 +34,8 @@ __all__ = [
     "reflect_about_axis",
     "axis_weight",
     "born_probabilities",
+    "sample_outcome",
+    "collapse",
     "measure_computational",
     "tensor",
     "permute_qubits",
@@ -67,11 +69,9 @@ class NumericalPolicy:
       sampled statistical lemma's arrays: its dense per-challenge blocks
       and its Gram matrices.
 
-    Five literals stay inline.  Three are cutoffs inside one numerical
+    Four literals stay inline.  Two are cutoffs inside one numerical
     kernel, not tolerances on a result:
 
-    * ``emulate._main_axis_action``: 1e-14 for a structural zero and for
-      a unit phase, 1e-12 for a unit modulus;
     * ``qefid._sampled_td_gram``: 1e-12, the relative rank cut of its
       Gram matrices;
     * ``cli.three_sigma``: 1e-12, the variance floor.
@@ -367,6 +367,34 @@ def born_probabilities(state: StateVector, targets: Sequence[int]) -> np.ndarray
     return probs.reshape(-1)
 
 
+def sample_outcome(probs: np.ndarray, rng: Rng) -> int:
+    """Draw an outcome index from Born weights `probs` with one
+    ``rng.random()``: the draw, scaled by the total weight, is located in
+    the cumulative weights.  Every measurement in the package samples this
+    way."""
+    total = float(probs.sum())
+    if total < POLICY.prob_atol:
+        raise ValueError("state has vanishing norm on all branches")
+    r = rng.random() * total
+    outcome_index = int(np.searchsorted(np.cumsum(probs), r, side="right"))
+    return min(outcome_index, probs.shape[0] - 1)
+
+
+def collapse(
+    state: StateVector, targets: Sequence[int], bits: Sequence[int]
+) -> StateVector:
+    """The renormalized state left by outcome `bits` on `targets`."""
+    targets = _validate_targets(state.num_qubits, targets)
+    tens = state.amplitudes.reshape((2,) * state.num_qubits)
+    slicer: list[object] = [slice(None)] * state.num_qubits
+    for t, b in zip(targets, bits):
+        slicer[t] = b
+    collapsed = np.zeros_like(tens)
+    collapsed[tuple(slicer)] = tens[tuple(slicer)]
+    collapsed = collapsed.reshape(-1)
+    return StateVector(state.num_qubits, collapsed / np.linalg.norm(collapsed))
+
+
 def measure_computational(
     state: StateVector, targets: Sequence[int], rng: Rng
 ) -> tuple[tuple[int, ...], StateVector, float]:
@@ -376,34 +404,11 @@ def measure_computational(
     probability is the exact Born weight of the sampled outcome and the
     collapsed state is renormalized.
     """
-    targets = _validate_targets(state.num_qubits, targets)
-    tens = state.amplitudes.reshape((2,) * state.num_qubits)
-    marg = np.abs(tens) ** 2
-    other = tuple(a for a in range(state.num_qubits) if a not in targets)
-    probs = marg.sum(axis=other) if other else marg
-    # Axes of `probs` correspond to sorted(targets); view in caller order.
-    sorted_targets = sorted(targets)
-    axis_of = {t: i for i, t in enumerate(sorted_targets)}
-    probs_caller = np.transpose(probs, [axis_of[t] for t in targets])
-    flat = probs_caller.reshape(-1)
-    total = float(flat.sum())
-    if total < POLICY.prob_atol:
-        raise ValueError("state has vanishing norm on all branches")
-    r = rng.random() * total
-    cum = np.cumsum(flat)
-    outcome_index = int(np.searchsorted(cum, r, side="right"))
-    outcome_index = min(outcome_index, flat.shape[0] - 1)
-    prob = float(flat[outcome_index] / total)
+    probs = born_probabilities(state, targets)
+    outcome_index = sample_outcome(probs, rng)
     bits = index_to_bits(outcome_index, len(targets))
-    # Project and renormalize.
-    slicer: list[object] = [slice(None)] * state.num_qubits
-    for t, b in zip(targets, bits):
-        slicer[t] = b
-    collapsed = np.zeros_like(tens)
-    collapsed[tuple(slicer)] = tens[tuple(slicer)]
-    collapsed = collapsed.reshape(-1)
-    collapsed = collapsed / np.linalg.norm(collapsed)
-    return bits, StateVector(state.num_qubits, collapsed), prob
+    prob = float(probs[outcome_index] / probs.sum())
+    return bits, collapse(state, targets, bits), prob
 
 
 # ---------------------------------------------------------------------------

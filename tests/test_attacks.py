@@ -33,6 +33,23 @@ def test_prepare_resources_counts_and_exactness(env2):
     assert res.oracle_queries[2] == res.attempts[2]
 
 
+def test_prepare_resources_simulates_the_attempt_once(env2, monkeypatch):
+    # A fresh copy cache, so this subset's projection is not yet simulated.
+    monkeypatch.setattr(emulate, "_COPY_PROJECTIONS", emulate.LruCache(4))
+    reflect = qcore.reflect_about_axis
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reflect(*args)
+
+    monkeypatch.setattr(qcore, "reflect_about_axis", counted)
+    res = prepare_resources(env2, [2], {2: 50}, kappa=30, rng=Rng(1))
+    assert len(calls) == 1
+    assert res.attempts[2] >= 50
+    assert env2.query_count(2) == res.attempts[2] == res.oracle_queries[2]
+
+
 def test_prepare_resources_failure():
     env = OracleEnv([sample_subset(2, Rng(2))])
     with pytest.raises(ResourceFailure):

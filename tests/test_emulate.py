@@ -104,6 +104,67 @@ def test_generate_s_minus_queries_once_per_attempt(env2):
     assert env2.query_count(2) - before == res.attempts
 
 
+@pytest.mark.parametrize("lam", [2, 4, 6])
+def test_copy_projection_is_the_oracle_circuit(lam):
+    # The cached attempt is H, the oracle, H on |0^(lam+1)>, bit for bit.
+    env = OracleEnv([ow.sample_subset(lam, Rng(20 + lam))])
+    spec = env.spec(lam)
+    generate_s_minus(env, lam, 1, Rng(0))
+    weights, copy = emulate._COPY_PROJECTIONS.get(spec)
+    H = ow.named_gate_matrix("H", 1)
+    st = qcore.apply_unitary(qcore.zero_state(lam + 1), H, [0])
+    st = ow.apply_oracle(st, env, lam, list(range(lam + 1)), count=False)
+    st = qcore.apply_unitary(st, H, [0])
+    assert np.array_equal(weights, qcore.born_probabilities(st, [0]))
+    outcome_one = qcore.collapse(st, [0], (1,))
+    want = qcore.extract_pure(outcome_one, list(range(1, lam + 1)))
+    assert np.array_equal(copy.amplitudes, want.amplitudes)
+    assert abs(overlap(copy, ow.subset_states(spec)[1])) ** 2 == pytest.approx(1.0)
+
+
+def test_generate_s_minus_draws_as_project_via_reflection(env2):
+    target = ow.subset_states(env2.spec(2))[1]
+    for s in range(200):
+        ok, _ = project_via_reflection(qcore.zero_state(2), target, Rng(s))
+        assert generate_s_minus(env2, 2, 1, Rng(s)).succeeded == ok
+
+
+def test_copy_generation_under_threads_matches_serial(monkeypatch):
+    # Three lam=2 subsets through a two-entry cache, so threads keep
+    # evicting and re-simulating each other's projections.
+    monkeypatch.setattr(emulate, "_COPY_PROJECTIONS", emulate.LruCache(2))
+    specs = [SubsetSpec(2, m) for m in ((1, 2), (1, 3), (2, 3))]
+
+    def work(seed):
+        out = []
+        for i in range(150):
+            env = OracleEnv([specs[i % 3]])
+            res = generate_s_minus(env, 2, 3, Rng(seed).child(i))
+            ideal = ow.subset_states(specs[i % 3])[1]
+            exact = res.succeeded and abs(overlap(res.state, ideal)) ** 2 > 1 - 1e-9
+            out.append((res.attempts, res.succeeded, exact, env.query_count(2)))
+        return out
+
+    serial = [work(seed) for seed in range(6)]
+    results = {}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda s=seed: results.update({s: work(s)}))
+            for seed in range(6)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[seed] for seed in range(6)] == serial
+    assert all(a == q and ok == exact for rows in serial for a, ok, exact, q in rows)
+
+
 def test_generate_s_minus_can_fail():
     env = OracleEnv([SubsetSpec(2, (0b01, 0b10))])
     failures = sum(
@@ -125,7 +186,6 @@ def test_plan_layout_and_no_oracle_gates(env2):
     assert plan.copy_offsets == {2: (3, 6, 9)}
     sym = [g for g in plan.rewritten_gates if g.kind == "symreflect"]
     assert len(sym) == 1 and len(sym[0].blocks) == 4
-    assert plan.below_guaranteed_regime  # ell=3 < 4
 
 
 def test_plan_rejects_bad_inputs():
@@ -461,24 +521,6 @@ def test_creation_map_cache_evicts_least_recently_used_within_budget(monkeypatch
     assert len(cache._entries) == 2 and cache.total == 128
     assert sector(envs[0], 3).creation is a
     assert sector(envs[0], 4).creation is not b  # evicted, so rebuilt
-
-
-def test_main_action_cache_evicts_least_recently_used():
-    def action(k):
-        # Distinct diagonal gates, so every k is its own cache key.
-        return emulate._main_axis_action(np.diag([1.0, np.exp(1j * k / 8192)]), (0,), 1)
-
-    old, kept = action(0), action(1)
-    for k in range(2, 3000):
-        action(k)
-    assert action(1) is kept  # a hit, and now the most recent
-    for k in range(3000, 4200):
-        action(k)
-    assert action(1) is kept
-    assert action(0) is not old  # least recently used, so evicted
-    dense = ow.named_gate_matrix("H", 1)
-    assert emulate._main_axis_action(dense, (0,), 1) is None
-    assert emulate._MAIN_ACTION_CACHE.get((dense.tobytes(), (0,), 1)) == (None,)
 
 
 def test_lru_cache_stays_consistent_under_threads():

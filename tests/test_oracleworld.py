@@ -177,7 +177,6 @@ def test_declared_query_count_validation():
         OracleAidedCircuit(3, gates, declared_query_count={2: 2})
     circuit = OracleAidedCircuit(3, gates)
     assert circuit.declared_query_count == {2: 1}
-    assert circuit.total_queries() == 1
 
 
 def test_condition_requires_prior_measurement():

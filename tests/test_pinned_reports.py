@@ -33,6 +33,7 @@ CONFIGS = [
     ("owsg-attack", dict(seed=13, candidate="oracle-echo", exact="false", trials=2)),
     ("money-forge", dict(seed=14, scheme="wiesner", exact="true", trials=3)),
     ("money-forge", dict(seed=16, scheme="subset-pair", exact="false", trials=1)),
+    ("copygen", dict(seed=17, lam=4, kappa=2, trials=40)),
 ]
 
 

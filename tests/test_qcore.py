@@ -259,7 +259,6 @@ def test_oversized_basis_state_raises_before_allocating():
 # The literals like 1e-9 that may stand outside NumericalPolicy's fields,
 # by module and enclosing function; NumericalPolicy's docstring names each.
 INLINE_CUTOFFS = {
-    ("emulate", "_main_axis_action"): {"1e-14", "1e-12"},
     ("qefid", "_sampled_td_gram"): {"1e-12"},
     ("cli", "three_sigma"): {"1e-12"},
     ("cli", "_cmd_emulate_bound"): {"1e-8"},
